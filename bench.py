@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -114,7 +115,7 @@ def main() -> None:
     # must not set the round's record; BASELINE.md documents 36x bandwidth
     # swings on second timescales). Each sample re-gates on the calibration
     # probe and stamps its own [calib_ms, gated] pair into the JSON.
-    n_headline = int(os.environ.get("GRAFT_HEADLINE_SAMPLES", "3"))
+    n_headline = max(1, int(os.environ.get("GRAFT_HEADLINE_SAMPLES", "3")))
     h_samples: list[float] = []
     h_calib: list[list] = []
     for i in range(n_headline):
@@ -123,7 +124,7 @@ def main() -> None:
         q.validate_transcripts(sf_dir)
         h_samples.append(round(time.perf_counter() - t0, 3))
         h_calib.append([pre, gated])
-    timings["validate_transcripts"] = sorted(h_samples)[len(h_samples) // 2]
+    timings["validate_transcripts"] = statistics.median(h_samples)
     run("q_pricing_summary", q.q_pricing_summary)
     run("q_event_windows", q.q_event_windows)
     run("q_join_orders_customer", q.q_join_orders_customer)

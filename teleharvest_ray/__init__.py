@@ -7,7 +7,8 @@ transcript tables ``(conv_id, turn_idx, role, text, tool, ts)``:
 
 - per-column stats with mergeable sketches (HLL approx-distinct, histogram /
   KLL quantiles) merged in a groupby-aggregate reduce,
-- uniqueness on ``(conv_id, turn_idx)`` via salted hash-shuffle groupby,
+- uniqueness on ``(conv_id, turn_idx)`` via per-partition sorted key-hash
+  sidecars, with candidates verified file by file,
 - referential + gap-free sequence checks under per-conversation sort,
 - distribution-drift checks (chi-square / KS / quantile-delta) against a
   broadcast reference-partition profile,

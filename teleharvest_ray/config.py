@@ -4,7 +4,7 @@ The reference externalizes every behavioural threshold through env settings
 (``settings.py:8-21``): min_len=200, min_views=50, min_er=0.025, min_score=80,
 min_score_alt=85, a comma-split stop-word list (``settings.py:17-21``) and
 channel list. We keep the same knobs (same defaults) as a plain dataclass,
-plus the target-only knobs the north_rule adds (salt buckets, drift
+plus the target-only knobs the north_rule adds (orphan-index size, drift
 thresholds, sketch precision).
 """
 
@@ -40,8 +40,6 @@ class ValidationConfig:
     scorer: str = "builtin"
 
     # --- target-only knobs (north_rule) ---
-    # Salt buckets for the uniqueness hash-shuffle (hot-conversation defuse).
-    salt_buckets: int = 64
     # Above this index size the orphan check swaps the sorted-array broadcast
     # for a Bloom filter (one-sided error: never falsely flags an orphan).
     orphan_bloom_threshold: int = 5_000_000
@@ -57,7 +55,6 @@ class ValidationConfig:
     len_hist_max: int = 8192
 
     # --- execution knobs ---
-    batch_size: int = 16384
     # CPUs requested per PartitionValidator actor. The validator is MEMORY-
     # BANDWIDTH-bound (byte-LUT scans, hashing, Arrow decode), not ALU-bound:
     # one actor per vCPU oversubscribes the memory system (measured on the
@@ -87,7 +84,6 @@ class ValidationConfig:
             ("min_er", "PROCESSOR_MIN_ER", float),
             ("min_score", "PROCESSOR_MIN_SCORE", float),
             ("min_score_alt", "PROCESSOR_MIN_SCORE_ALT", float),
-            ("salt_buckets", "VALIDATOR_SALT_BUCKETS", int),
         ):
             if key in e:
                 kw[name] = cast(e[key])

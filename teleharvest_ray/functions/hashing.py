@@ -1,6 +1,6 @@
 """Deterministic, vectorized 64-bit hashing.
 
-Process-stable hashing is load-bearing: the salted uniqueness shuffle, the HLL
+Process-stable hashing is load-bearing: the key-hash uniqueness check, the HLL
 sketch and resume/oracle comparisons all require that the same value hashes
 identically in every worker process of every run (Python's ``hash`` does not,
 because of PYTHONHASHSEED). We build on ``pandas.util.hash_array`` (SipHash

@@ -13,8 +13,10 @@ Ray Data:
   driver streams these records into the checkpoint store as they complete —
   a killed run resumes by replaying only partitions without a record.
 - **Phase 2 — key-space checks** (the PK/watermark discipline,
-  ``models/message.py:34-36,75-89``): one salted hash-shuffle over pruned
-  columns for dup/seq/orphan violations; recorded under the ``_global``
+  ``models/message.py:34-36,75-89``): dup/seq/orphan violations from the
+  key-hash and conversation-partial sidecars phase 1 wrote per partition; a
+  partition's data file is read again only when its sidecars hold a
+  candidate (``stages/keyspace.py``). Recorded under the ``_global``
   checkpoint key, recomputed only when the validated partition set changed.
 
 Partition = input file: at 100 TB the input is O(100k) files of 0.25–1 GB, so
@@ -28,6 +30,7 @@ file-local scope (the reference's per-fetched-batch semantics,
 
 from __future__ import annotations
 
+import gc
 import glob
 import hashlib as _hashlib
 import os
@@ -45,7 +48,6 @@ from ..config import ValidationConfig
 from ..stages.keyspace import (
     build_bloom_index,
     conv_partials_table,
-    keyspace_checks,
     keyspace_from_states,
     merge_conv_partials,
     prep_state,
@@ -196,8 +198,8 @@ class PartitionValidator:
                 if old.get("sketch_state"):
                     stats = merge_stats(stats_from_bytes(old["sketch_state"]), stats)
                 # scheduling only emits start_row>0 when both sidecars exist
-                # (run_validation's has_state guard) — older record formats
-                # take the full-rescan path instead of a lossy delta
+                # (run_validation's work list) — older record formats take
+                # the full-rescan path instead of a lossy delta
                 ob = old.get("keyspace_blob")
                 if ob and os.path.exists(ob):
                     ks_blobs.insert(0, np.fromfile(ob, dtype=np.uint64).tobytes())
@@ -205,8 +207,9 @@ class PartitionValidator:
                 if oc and os.path.exists(oc):
                     ks_convs.insert(0, pq.read_table(oc).to_pandas())
 
-        # key-space state piggybacks on this (only) scan of the partition so
-        # phase 2 never re-reads validated data (SURVEY §4 shuffle-minimization).
+        # key-space state piggybacks on this scan of the partition so phase 2
+        # re-reads a partition only when its sidecars hold a candidate
+        # (SURVEY §4 shuffle-minimization).
         # The packed-hash blob is SORTED here (distributed, in the actor) and
         # written as a sidecar file next to the partition's outputs — the
         # lineage record carries only its path + digest, so at 10^12 keys the
@@ -230,9 +233,8 @@ class PartitionValidator:
             fh.write(hashes.tobytes())
         os.replace(tmp, blob_path)
         # conv partials go to a parquet sidecar under the same epoch tag —
-        # phase 2 reads ALL partitions' partials as one Dataset and
-        # re-aggregates them distributed, so conversation-count-sized state
-        # never materializes on the driver
+        # phase 2 re-aggregates all partitions' partials (distributed when
+        # they are large) and looks candidate conversations up in each
         conv_path = os.path.join(self.out_dir, "keyspace", f"{pid}-{blob_digest[:12]}-conv.parquet")
         atomic_write_parquet(conv_partials_table(merge_conv_partials(ks_convs)), conv_path)
 
@@ -306,7 +308,6 @@ def run_validation(
     out_dir: str,
     cfg: ValidationConfig | None = None,
     resume: bool = True,
-    concurrency: int | None = None,
     write_annotated: bool = True,
     capability_probe=None,
     on_error: str = "raise",
@@ -372,8 +373,14 @@ def run_validation(
     errors: dict[str, str] = {}
     for f, p in zip(files, pids):
         rec = done.get(p)
-        if rec is None:
+        # phase 2 reads a partition's key state only from its sidecars, so a
+        # record without them (an older format, or files removed) is
+        # revalidated in full — a delta would drop the prefix's key state
+        if rec is None or not all(
+            rec.get(k) and os.path.exists(rec[k]) for k in ("keyspace_blob", "keyspace_conv_path")
+        ):
             todo.append({"path": f, "pid": p, "start_row": 0})
+            done.pop(p, None)
             continue
         # cheap stat pre-filter: footer only opens when size/mtime moved, so
         # an unchanged 100k-file resume costs 100k stats, not footer reads
@@ -389,42 +396,30 @@ def run_validation(
             done.pop(p)
             continue
         n_rec = int(rec.get("rows_scanned", 0))
-        if n_now == n_rec:
-            # size/mtime moved but row count matches: the file was REPLACED
-            # with different content of equal length (equal-count appends
-            # can't happen under the append-only contract). Equality of row
-            # counts proves nothing about content — full rescan, else stale
-            # violations/sketch/keyspace state survives the swap.
-            todo.append({"path": f, "pid": p, "start_row": 0})
-            done.pop(p)
-            continue
-        # delta revalidation needs the prefix's sidecar state to merge into;
-        # records without it (older formats, or sidecars gone from disk)
-        # fall back to a full rescan — NEVER a delta that would silently
-        # drop the prefix's key hashes and conv partials
-        has_state = (
-            rec.get("keyspace_blob")
-            and os.path.exists(rec["keyspace_blob"])
-            and rec.get("keyspace_conv_path")
-            and os.path.exists(rec["keyspace_conv_path"])
-        )
-        start = n_rec if (n_now > n_rec and has_state) else 0
-        todo.append({"path": f, "pid": p, "start_row": start})
+        # grown: only the delta rows. Shrunk, or size/mtime moved with the row
+        # count unchanged (the file was REPLACED: equal-count appends can't
+        # happen under the append-only contract): full rescan, else stale
+        # violations/sketch/keyspace state survives the swap.
+        todo.append({"path": f, "pid": p, "start_row": n_rec if n_now > n_rec else 0})
         done.pop(p)
     n_resumed = len(files) - len(todo) - len(errors)
     new_records = []
     if todo:
-        avail = int(ray.available_resources().get("CPU", 4))
         # actors sized to memory bandwidth, not vCPU count (see
-        # ValidationConfig.validator_num_cpus) — explicit concurrency wins
-        conc = concurrency or max(1, min(len(todo), int(avail / cfg.validator_num_cpus)))
+        # ValidationConfig.validator_num_cpus), but never asking for more
+        # CPUs than the session has: such an actor is never placed
+        total_cpus = ray.cluster_resources().get("CPU", 0)
+        if not total_cpus:
+            raise RuntimeError("the Ray session has no CPUs to run validators on")
+        actor_cpus = min(cfg.validator_num_cpus, total_cpus)
+        conc = max(1, min(len(todo), int(ray.available_resources().get("CPU", 0) // actor_cpus)))
         ds = rd.from_items(todo)
         result = ds.map_batches(
             PartitionValidator,
             fn_constructor_args=(cfg, profile_ref, out_dir, write_annotated, on_error),
             batch_size=1,
             concurrency=conc,
-            num_cpus=cfg.validator_num_cpus if concurrency is None else 1.0,
+            num_cpus=actor_cpus,
             batch_format="pandas",
         )
         # stream records into the checkpoint store as partitions finish
@@ -454,11 +449,16 @@ def run_validation(
                 fh.write(result.stats())
         except Exception:
             pass
+        # the actor pool holds its CPUs until the executed Dataset is
+        # collected, and it sits in reference cycles: without this, phase 2's
+        # tasks (and a second run in this session) wait for CPUs that only a
+        # later, arbitrary gc pass frees
+        del ds, result
+        gc.collect()
 
     all_records = {**done, **{r["partition_id"]: r for r in new_records}}
     # errored partitions contribute NO state anywhere downstream
     good_pids = [p for p in pids if p in all_records]
-    good_files = [f for f, p in zip(files, pids) if p in all_records]
     if not good_pids:
         raise RuntimeError(f"every partition failed: {errors}")
 
@@ -469,9 +469,9 @@ def run_validation(
         s = stats_from_bytes(rec["sketch_state"])
         merged = s if merged is None else merge_stats(merged, s)
 
-    # Phase 2: key-space checks — assembled from the per-partition states the
-    # validators embedded in their lineage records (no second scan of the
-    # data; only candidate verification re-reads pruned columns)
+    # Phase 2: key-space checks — assembled from the per-partition sidecars
+    # the validators wrote; only partitions holding a candidate have their
+    # key columns read again
     gkey = "_global"
     grec = store.read(gkey) if resume else None
     # staleness is keyed on a digest over WHICH partitions were validated and
@@ -496,7 +496,6 @@ def run_validation(
         g_violations = 0
         global_checks_skipped = True
     elif grec is None or grec.get("digest") != global_digest:
-        turns = rd.read_parquet(good_files, columns=["conv_id", "turn_idx"])
         conv_index_path = os.path.join(data_dir, "conversations.parquet")
         if not os.path.exists(conv_index_path):
             known = []
@@ -506,37 +505,28 @@ def run_validation(
             known = build_bloom_index(conv_index_path)
         else:
             known = pq.read_table(conv_index_path)["conv_id"].to_pylist()
-        usable = [
-            pid
-            for pid in good_pids
-            if all_records[pid].get("keyspace_conv_path")
-            and os.path.exists(all_records[pid]["keyspace_conv_path"])
-            and all_records[pid].get("keyspace_blob")
-            and os.path.exists(all_records[pid]["keyspace_blob"])
+        parts = [
+            (f, all_records[p]["keyspace_blob"], all_records[p]["keyspace_conv_path"])
+            for f, p in zip(files, pids)
+            if p in all_records
         ]
-        if len(usable) == len(good_pids):
-            # both halves of the keyspace state stay on disk: blob PATHS go
-            # to the range-merge tasks, and the conv partial sidecars stream
-            # through a distributed groupby — the driver sees only candidates.
-            # Below a size threshold the partials merge driver-side instead:
-            # a Ray groupby costs seconds of fixed overhead that dwarfs a
-            # small pandas merge (same dispatch pattern as embedding_near_dup;
-            # equivalence of the two paths is test-asserted).
-            blobs = [all_records[pid]["keyspace_blob"] for pid in good_pids]
-            conv_paths = [all_records[pid]["keyspace_conv_path"] for pid in good_pids]
-            n_partial_rows = sum(pq.ParquetFile(p).metadata.num_rows for p in conv_paths)
-            if n_partial_rows < 2_000_000:
-                summ = merge_conv_partials([pq.read_table(p).to_pandas() for p in conv_paths])
-            else:
-                summ = rd.read_parquet(conv_paths)
-            gvio = keyspace_from_states(blobs, summ, turns, known, cfg)
-        else:  # records from an older run without sidecar state: full scan
-            gvio = keyspace_checks(turns, known, cfg)
+        # The conv partial sidecars stream through a distributed groupby, so
+        # the driver sees only candidates. Below a size threshold they merge
+        # driver-side instead: a Ray groupby costs seconds of fixed overhead
+        # that dwarfs a small pandas merge (equivalence of the two paths is
+        # test-asserted).
+        conv_paths = [c for _, _, c in parts]
+        n_partial_rows = sum(pq.ParquetFile(c).metadata.num_rows for c in conv_paths)
+        if n_partial_rows < 2_000_000:
+            summ = merge_conv_partials([pq.read_table(c).to_pandas() for c in conv_paths])
+        else:
+            summ = rd.read_parquet(conv_paths)
+        gvio = keyspace_from_states(parts, summ, known, cfg)
         gvio = filter_violations(gvio, cfg)
         atomic_write_parquet(gvio, os.path.join(out_dir, "violations", "_global.parquet"))
         store.write(
             gkey,
-            {"partition_id": gkey, "n_partitions": len(good_files), "digest": global_digest, "violations": gvio.num_rows},
+            {"partition_id": gkey, "n_partitions": len(parts), "digest": global_digest, "violations": gvio.num_rows},
         )
         g_violations = gvio.num_rows
         global_checks_skipped = False

@@ -293,7 +293,7 @@ def generate(out_dir: str, spec: GenSpec | None = None, **kw) -> dict:
     if spec.hot_conv:
         # spread the hot conversation over files in turn-index blocks: one
         # giant file would be a straggler partition (file-size skew, distinct
-        # from the key skew the salted shuffle defuses). Cross-file convs are
+        # from the key skew the full-key hash defuses). Cross-file convs are
         # fully supported: sequence partials merge across blocks and the
         # last-turn ER exemption is batch-local by definition.
         hmask = (df["conv_id"] == conv_ids[0]).to_numpy()

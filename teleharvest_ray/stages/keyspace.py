@@ -10,29 +10,27 @@ per the north_rule:
 - **orphan_conv**: a ``conv_id`` present in turns but absent from the
   conversations index (referential resolution).
 
-Scale design (SURVEY.md §4). The naive shape — ``groupby(salt)`` over one row
-per key — moves ~30 bytes/row through the engine's sort machinery. Instead the
-shuffle happens in **packed hash space**:
+Scale design (SURVEY.md §4). Phase 1 already reads every partition once;
+while it does, each partition validator writes two sidecar files
+(``pipelines/validate.py``, ``PartitionValidator._one``): a SORTED blob of
+``hash(conv_id, turn_idx)`` packed uint64s (8 bytes/row, the full composite
+key, so a hot conversation spreads over hash space while identical keys still
+collide) and a parquet table of per-conversation partial sequence stats.
+Phase 2 (:func:`keyspace_from_states`) works from those sidecars:
 
-1. One column-pruned streaming pass emits, per block, (a) a binary blob of
-   ``hash(conv_id, turn_idx)`` packed uint64s — 8 bytes/row, the full
-   composite key, so hot conversations spread uniformly (salting) while
-   identical keys still collide — and (b) per-conversation partial sequence
-   stats (a few rows per conversation per block).
-2. Candidate dup hashes come from sorting the packed arrays: locally small;
-   at cluster scale the blobs hash-range-partition across merge tasks (each
-   task owns a hash range, sorts ~N/S values) — a salted hash shuffle
-   hand-rolled over dense arrays because the Dataset API cannot express a
-   packed-array exchange. Range-merge helper: :func:`find_dup_hashes`.
-3. Conversation partials aggregate to per-conv summaries; a conversation is
-   gap-free iff ``min == 0 and max == n_distinct - 1``. Cross-block
-   duplicate keys can overcount ``n_distinct`` → false *candidates*, never
-   false violations (step 4 verifies).
-4. ONE verification scan re-reads only rows whose key hash is a dup
-   candidate or whose conversation is flagged (vectorized searchsorted
-   filters against broadcast sorted arrays) and computes exact dup counts +
-   exact first-missing indices driver-side — the candidate set is the
-   anomaly set, orders of magnitude smaller than the data.
+1. Candidate dup hashes come from merging the sorted blobs: locally when
+   small; at cluster scale each of several Ray tasks owns one hash range and
+   memmaps only that range of every blob (:func:`find_dup_hashes`).
+2. Conversation partials aggregate to per-conv summaries; a conversation is
+   gap-free iff ``min == 0 and max == n_distinct - 1``. Duplicate keys across
+   partitions can overcount ``n_distinct`` → false *candidates*, never false
+   violations (step 3 verifies).
+3. Verification is file by file (:func:`_verify_partition`): a partition's
+   blob is binary-searched for the dup candidates and its conv sidecar looked
+   up for the candidate conversations, and only on a hit is the data file's
+   ``(conv_id, turn_idx)`` read. A clean corpus reads no data file. Exact dup
+   counts and first-missing indices are computed driver-side from the picked
+   rows — the anomaly set, orders of magnitude smaller than the data.
 
 Rows with missing ``conv_id`` are excluded here: they are already flagged
 ``conv_id_missing`` by the row chain (processor.py:102-104 analog).
@@ -40,14 +38,14 @@ Rows with missing ``conv_id`` are excluded here: they are already flagged
 
 from __future__ import annotations
 
-import pickle
+import os
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 import ray
-from ray.data import Dataset
 
 from ..config import ValidationConfig
 from ..functions.arrays import member_mask
@@ -60,8 +58,8 @@ _member_mask = member_mask
 def prep_state(tbl: pa.Table) -> dict:
     """Per-batch key-space state: packed key-hash blob + per-conv partial
     sequence stats. Mergeable across batches/partitions (blobs concatenate;
-    conv partials re-aggregate). This is what the partition validator embeds
-    in its lineage record so phase 2 needs NO second scan of the data."""
+    conv partials re-aggregate). The partition validator writes it as the
+    partition's two sidecar files, from which phase 2 works."""
     conv = np.asarray(tbl["conv_id"].to_pandas(), dtype=object)
     turn = tbl["turn_idx"].to_numpy(zero_copy_only=False)
     turn = np.where(pd.isna(turn), -1, turn).astype(np.int64)  # null → -1 sentinel
@@ -144,123 +142,83 @@ def _exact_gaps(df: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame(rows, columns=VIOLATION_COLS)
 
 
-def _scan_convs(turns: Dataset, convs_sorted: np.ndarray) -> pd.DataFrame:
-    """Collect (conv_id, turn_idx) rows of specific conversations —
-    broadcast-membership filter, vectorized searchsorted per batch."""
-    ref = ray.put(convs_sorted)
-
-    def pick(tbl: pa.Table) -> pa.Table:
-        cs = ray.get(ref)
-        conv = np.asarray(tbl["conv_id"].to_pandas(), dtype=object)
-        keep = _member_mask(cs, conv) & (conv != "")
-        turn = tbl["turn_idx"].to_numpy(zero_copy_only=False)
-        turn = np.where(pd.isna(turn), -1, turn).astype(np.int32)
-        return pa.table(
-            {
-                "conv_id": pa.array(conv[keep], pa.string()),
-                "turn_idx": pa.array(turn[keep]),
-            }
-        )
-
-    return turns.map_batches(pick, batch_format="pyarrow", batch_size=None).to_pandas()
-
-
-def _sorted_hash_array(entry) -> np.ndarray:
-    """A SORTED uint64 array from a blob entry: raw bytes (unsorted packed
-    hashes — sorted here), an ndarray (assumed sorted), or a sidecar file
-    path (written pre-sorted by the validator; memmapped, so a range task's
-    searchsorted is a page-granular binary search — it never reads the whole
-    file)."""
-    if isinstance(entry, str):
-        return np.memmap(entry, dtype=np.uint64, mode="r")
-    if isinstance(entry, np.ndarray):
-        return entry
-    return np.sort(np.frombuffer(entry, dtype=np.uint64))
+_PICK_SCHEMA = pa.schema([("conv_id", pa.string()), ("turn_idx", pa.int32())])
+_NO_HASHES = np.empty(0, np.uint64)
 
 
 @ray.remote
-def _range_dups(blob_refs: list, lo: int, hi: int | None) -> np.ndarray:
+def _verify_partition(part: tuple, dup_hashes: np.ndarray, convs: np.ndarray) -> pa.Table:
+    """The ``(conv_id, turn_idx)`` rows of one partition whose key hash is in
+    ``dup_hashes`` or whose conversation is in ``convs`` (both sorted).
+
+    ``part`` is the partition's ``(data file, hash blob, conv sidecar)``. The
+    sidecars decide whether any row can match — a memmapped binary search of
+    the sorted blob, a lookup of the sidecar's conversations — and the data
+    file's key columns are read only when one can."""
+    data_path, blob_path, conv_path = part
+    hit = len(dup_hashes) > 0 and os.path.getsize(blob_path) > 0 and bool(
+        _member_mask(np.memmap(blob_path, dtype=np.uint64, mode="r"), dup_hashes).any()
+    )
+    if not hit and len(convs):
+        sidecar_convs = pq.read_table(conv_path, columns=["conv_id"])["conv_id"].to_numpy(zero_copy_only=False)
+        hit = bool(_member_mask(convs, sidecar_convs).any())
+    if not hit:
+        return _PICK_SCHEMA.empty_table()
+    tbl = pq.read_table(data_path, columns=["conv_id", "turn_idx"])
+    conv = np.asarray(tbl["conv_id"].to_pandas(), dtype=object)
+    turn = tbl["turn_idx"].to_numpy(zero_copy_only=False)
+    turn = np.where(pd.isna(turn), -1, turn).astype(np.int64)  # match prep_state's sentinel
+    keep = (_member_mask(dup_hashes, hash_key(conv, turn)) | _member_mask(convs, conv)) & pd.notna(conv) & (conv != "")
+    return pa.table({"conv_id": pa.array(conv[keep], pa.string()), "turn_idx": pa.array(turn[keep].astype(np.int32))})
+
+
+def _scan_convs(parts: list, convs_sorted: np.ndarray, dup_hashes: np.ndarray = _NO_HASHES) -> pd.DataFrame:
+    """Collect the ``(conv_id, turn_idx)`` rows of the given conversations
+    (and of the given key hashes): one :func:`_verify_partition` task per
+    partition, so only partitions holding a candidate read their data."""
+    convs_ref, dup_ref = ray.put(convs_sorted), ray.put(dup_hashes)
+    picked = ray.get([_verify_partition.remote(p, dup_ref, convs_ref) for p in parts])
+    return pa.concat_tables([_PICK_SCHEMA.empty_table(), *picked]).to_pandas()
+
+
+@ray.remote
+def _range_dups(blob_paths: list, lo: int, hi: int | None) -> np.ndarray:
     """Merge task for one hash range [lo, hi) — ``hi=None`` means to the end
     of uint64 space (2**64 is not representable as uint64; casting it through
-    linspace silently became 0 and dropped the whole top range). Entries may
-    be ObjectRefs (driver-held arrays), raw bytes, or sidecar file PATHS —
-    the path form is the cluster-scale shape: each task reads only its hash
-    range from each file, and the driver never holds any blob."""
+    linspace silently became 0 and dropped the whole top range). Each blob is
+    memmapped, so the searchsorted is a page-granular binary search and the
+    task reads only its own hash range of every file."""
     parts = []
-    for ref in blob_refs:
-        arr = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-        arr = _sorted_hash_array(arr)
+    for path in blob_paths:
+        arr = np.memmap(path, dtype=np.uint64, mode="r")
         a = np.searchsorted(arr, np.uint64(lo))
         b = len(arr) if hi is None else np.searchsorted(arr, np.uint64(hi))
         parts.append(np.asarray(arr[a:b]))
-    merged = np.sort(np.concatenate(parts)) if parts else np.empty(0, np.uint64)
-    dup_mask = np.zeros(len(merged), dtype=bool)
-    dup_mask[1:] = merged[1:] == merged[:-1]
-    return np.unique(merged[dup_mask])
+    return _dups_of(np.sort(np.concatenate(parts)))
 
 
-def blob_entry_n_keys(entry) -> int:
-    """Key count of a blob entry without loading it (paths use file size)."""
-    import os
-
-    if entry is None:
-        return 0
-    if isinstance(entry, str):
-        return os.path.getsize(entry) // 8
-    if isinstance(entry, np.ndarray):
-        return len(entry)
-    return len(entry) // 8
+def _dups_of(merged: np.ndarray) -> np.ndarray:
+    """Distinct values occurring more than once in a sorted array."""
+    return np.unique(merged[1:][merged[1:] == merged[:-1]])
 
 
 def find_dup_hashes(blobs: list, n_ranges: int = 1) -> np.ndarray:
-    """Duplicate hash candidates across packed blobs (bytes or sidecar file
-    paths).
+    """Duplicate hash candidates across sorted uint64 blob files (one per
+    partition; zero-byte blobs are empty partitions).
 
     ``n_ranges > 1`` runs the hash-range-partitioned merge as parallel Ray
     tasks (the cluster-scale path); 1 sorts locally (fine up to ~10^8 keys
-    per node). Path entries are passed to range tasks AS paths — each task
-    memmaps and reads only its own hash range, so no blob ever transits the
-    driver (the 10^12-key shape)."""
-    entries = [b for b in blobs if b is not None and blob_entry_n_keys(b) > 0]
-    if not entries:
-        return np.empty(0, np.uint64)
+    per node). Range tasks get the PATHS — each memmaps and reads only its
+    own hash range, so no blob ever transits the driver (the 10^12-key
+    shape)."""
+    paths = [b for b in blobs if os.path.getsize(b) > 0]
+    if not paths:
+        return _NO_HASHES
     if n_ranges <= 1:
-        merged = np.sort(np.concatenate([np.asarray(_sorted_hash_array(e)) for e in entries]))
-        dup_mask = np.zeros(len(merged), dtype=bool)
-        dup_mask[1:] = merged[1:] == merged[:-1]
-        return np.unique(merged[dup_mask])
-    refs = [e if isinstance(e, str) else ray.put(np.sort(np.frombuffer(e, dtype=np.uint64))) for e in entries]
+        return _dups_of(np.sort(np.concatenate([np.fromfile(p, dtype=np.uint64) for p in paths])))
     step = (1 << 64) // n_ranges  # exact python-int bounds; last range open-ended
     bounds = [i * step for i in range(n_ranges)] + [None]
-    futs = [_range_dups.remote(refs, bounds[i], bounds[i + 1]) for i in range(n_ranges)]
-    return np.concatenate(ray.get(futs)) if futs else np.empty(0, np.uint64)
-
-
-def keyspace_checks(
-    turns: Dataset,
-    known_conv_ids,
-    cfg: ValidationConfig | None = None,
-) -> pa.Table:
-    """Run all three key-space checks standalone (one state-building scan +
-    the candidate verification scan); returns violations as a pyarrow Table
-    (the anomaly set — collectable by design). When per-partition states are
-    already available from the validation phase's lineage records, use
-    :func:`keyspace_from_states` and skip the first scan entirely."""
-    cfg = cfg or ValidationConfig()
-
-    def to_state_row(tbl: pa.Table) -> pa.Table:
-        st = prep_state(tbl)
-        return pa.table(
-            {
-                "blob": pa.array([st["blob"]], pa.binary()),
-                "conv_pkl": pa.array([pickle.dumps(st["conv"], protocol=4)], pa.binary()),
-            }
-        )
-
-    rows = turns.map_batches(to_state_row, batch_format="pyarrow", batch_size=None).to_pandas()
-    blobs = [b for b in rows["blob"] if b]
-    summ = merge_conv_partials([pickle.loads(p) for p in rows["conv_pkl"]])
-    return keyspace_from_states(blobs, summ, turns, known_conv_ids, cfg)
+    return np.concatenate(ray.get([_range_dups.remote(paths, bounds[i], bounds[i + 1]) for i in range(n_ranges)]))
 
 
 #: above this many index ids the Bloom build shards: a monolithic partial
@@ -377,22 +335,22 @@ def _gap_orphan_candidates(summ, known_conv_ids, cfg: ValidationConfig):
 
 
 def keyspace_from_states(
-    blobs: list,
-    summ: pd.DataFrame,
-    turns: Dataset,
+    parts: list,
+    summ,
     known_conv_ids,
     cfg: ValidationConfig | None = None,
 ) -> pa.Table:
-    """Key-space checks from pre-computed per-partition states (the blobs +
-    merged per-conv summaries produced by :func:`prep_state` /
-    :func:`merge_conv_partials`). Blob entries are raw bytes or — the
-    at-scale shape — SIDECAR FILE PATHS written by the validators, so the
-    range-merge tasks read their hash range straight from disk and the
-    driver never materializes a single blob. Only the exact verification of
-    candidates touches the data again."""
+    """Key-space checks from phase 1's per-partition state. ``parts`` holds
+    one ``(data file, sorted hash blob, conv-partials sidecar)`` path triple
+    per partition, as :func:`prep_state` output is written by the partition
+    validator; ``summ`` is the partials merged by :func:`merge_conv_partials`
+    or, at scale, a Dataset of the raw partial rows (see
+    :func:`_gap_orphan_candidates`). The range-merge tasks read their hash
+    range straight from the blobs, so the driver never holds a blob, and only
+    partitions whose sidecars hold a candidate have their key columns read."""
     cfg = cfg or ValidationConfig()
-    # --- dup candidates from packed hashes (bytes or sidecar paths) ---
-    n_keys = sum(blob_entry_n_keys(b) for b in blobs)
+    blobs = [blob for _, blob, _ in parts]
+    n_keys = sum(os.path.getsize(b) for b in blobs) // 8
     n_ranges = 1 if n_keys < 20_000_000 else max(2, min(64, n_keys // 10_000_000))
     dup_hashes = np.sort(find_dup_hashes(blobs, n_ranges))
 
@@ -406,32 +364,9 @@ def keyspace_from_states(
             )
         )
 
-    # --- ONE exact verification scan for dup + gap candidates ---
+    # --- exact verification of dup + gap candidates, file by file ---
     if len(dup_hashes) or len(gap_convs):
-        dup_ref = ray.put(dup_hashes)
-        gap_ref = ray.put(gap_convs)
-
-        def pick(tbl: pa.Table) -> pa.Table:
-            dh = ray.get(dup_ref)
-            gc = ray.get(gap_ref)
-            conv = np.asarray(tbl["conv_id"].to_pandas(), dtype=object)
-            turn = tbl["turn_idx"].to_numpy(zero_copy_only=False)
-            turn = np.where(pd.isna(turn), -1, turn).astype(np.int64)  # match prep_state's sentinel
-            ok = pd.notna(conv) & (conv != "")
-            keep = np.zeros(len(conv), dtype=bool)
-            if len(dh):
-                h = hash_key(conv, turn)
-                keep |= _member_mask(dh, h) & ok
-            if len(gc):
-                keep |= _member_mask(gc, conv) & ok
-            return pa.table(
-                {
-                    "conv_id": pa.array(conv[keep], pa.string()),
-                    "turn_idx": pa.array(turn[keep].astype(np.int32)),
-                }
-            )
-
-        small = turns.map_batches(pick, batch_format="pyarrow", batch_size=None).to_pandas()
+        small = _scan_convs(parts, gap_convs, dup_hashes)
 
         dup_convs = np.empty(0, dtype=object)
         if len(dup_hashes):
@@ -460,10 +395,11 @@ def keyspace_from_states(
         # a duplicated key spanning batches inflates the summed n_distinct and
         # can mask a REAL gap in the same conversation (nd_sum == max+1 by
         # coincidence) — every verified-dup conversation not already flagged
-        # gets an exact sequence check of its own (anomaly-sized second scan)
+        # gets an exact sequence check of its own, over the partitions that
+        # hold it
         extra = np.setdiff1d(dup_convs, gap_convs)
         if len(extra):
-            out_frames.append(_exact_gaps(_scan_convs(turns, np.sort(extra))))
+            out_frames.append(_exact_gaps(_scan_convs(parts, np.sort(extra))))
 
     out_frames = [f for f in out_frames if len(f)]
     if out_frames:

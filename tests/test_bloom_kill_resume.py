@@ -31,19 +31,17 @@ def test_bloom_filter_membership():
     assert fp_rate < 0.03, fp_rate
 
 
-def test_keyspace_bloom_path_matches_manifest(ray_session, tmp_path):
-    import ray.data as rd
-
+def test_keyspace_bloom_path_matches_manifest(ray_session, keyspace_sidecars, tmp_path):
     d = str(tmp_path / "bloomdata")
     generate(d, GenSpec(n_convs=120, n_files=4, seed=77))
     files = sorted(glob.glob(d + "/part-*.parquet"))
     idx = pq.read_table(d + "/conversations.parquet")["conv_id"].to_pylist()
-    from teleharvest_ray.stages.keyspace import keyspace_checks
+    from teleharvest_ray.stages.keyspace import keyspace_from_states
 
     # force the Bloom path with a tiny threshold
-    cfg = ValidationConfig(salt_buckets=8, orphan_bloom_threshold=1)
-    turns = rd.read_parquet(files, columns=["conv_id", "turn_idx"])
-    vio = keyspace_checks(turns, idx, cfg).to_pandas()
+    cfg = ValidationConfig(orphan_bloom_threshold=1)
+    parts, summ = keyspace_sidecars(files, str(tmp_path))
+    vio = keyspace_from_states(parts, summ, idx, cfg).to_pandas()
     exp = pq.read_table(d + "/expected_violations.parquet").to_pandas()
     exp = exp[exp.check_id.isin({"dup_key", "seq_gap", "orphan_conv"})]
     got = set(map(tuple, vio[["conv_id", "turn_idx", "check_id"]].drop_duplicates().itertuples(index=False)))
@@ -145,7 +143,7 @@ def test_validation_bloom_path_distributed_and_manifest_exact(ray_session, tmp_p
 
     monkeypatch.setattr(V.pq, "read_table", guarded_read)
     out = str(tmp_path / "out")
-    run_validation(d, out, ValidationConfig(salt_buckets=8, orphan_bloom_threshold=1), write_annotated=False)
+    run_validation(d, out, ValidationConfig(orphan_bloom_threshold=1), write_annotated=False)
     assert calls, "distributed bloom build was not invoked"
     exp = pq.read_table(d + "/expected_violations.parquet").to_pandas()
     exp_orph = exp[exp.check_id == "orphan_conv"]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pyarrow.parquet as pq
 import pytest
 
@@ -9,7 +11,7 @@ import ray.data as rd
 
 from teleharvest_ray.config import ValidationConfig
 from teleharvest_ray.sources.datagen import GenSpec, generate
-from teleharvest_ray.stages.keyspace import keyspace_checks
+from teleharvest_ray.stages.keyspace import keyspace_from_states
 
 KS_IDS = {"dup_key", "seq_gap", "orphan_conv"}
 
@@ -21,13 +23,13 @@ def dataset(tmp_path_factory):
     return str(d)
 
 
-def test_keyspace_matches_manifest(ray_session, dataset):
+def test_keyspace_matches_manifest(ray_session, keyspace_sidecars, dataset, tmp_path):
     import glob
 
     files = sorted(glob.glob(dataset + "/part-*.parquet"))
-    turns = rd.read_parquet(files, columns=["conv_id", "turn_idx"])
     idx = pq.read_table(dataset + "/conversations.parquet")["conv_id"].to_pylist()
-    vio = keyspace_checks(turns, idx, ValidationConfig(salt_buckets=16)).to_pandas()
+    parts, summ = keyspace_sidecars(files, str(tmp_path))
+    vio = keyspace_from_states(parts, summ, idx, ValidationConfig()).to_pandas()
 
     exp = pq.read_table(dataset + "/expected_violations.parquet").to_pandas()
     exp = exp[exp.check_id.isin(KS_IDS)]
@@ -40,13 +42,12 @@ def test_keyspace_matches_manifest(ray_session, dataset):
     assert dups.detail.str.startswith("count=").all()
 
 
-def test_dup_across_batches_cannot_mask_gap(ray_session, tmp_path):
+def test_dup_across_batches_cannot_mask_gap(ray_session, keyspace_sidecars, tmp_path):
     """Regression: turns {0,1,3} plus a cross-file duplicate of turn 1 make
-    the summed per-batch distinct count equal max+1 — the gap at 2 must STILL
-    be found (verified-dup conversations get their own exact sequence check)."""
-    import numpy as np
+    the summed per-partition distinct count equal max+1 — the gap at 2 must
+    STILL be found (verified-dup conversations get their own exact sequence
+    check)."""
     import pyarrow as pa
-    import ray.data as rd
 
     d = tmp_path / "mask"
     d.mkdir()
@@ -60,18 +61,15 @@ def test_dup_across_batches_cannot_mask_gap(ray_session, tmp_path):
 
     write("part-00000.parquet", [("cA", 0), ("cA", 1), ("cA", 3), ("cB", 0), ("cB", 1)])
     write("part-00001.parquet", [("cA", 1), ("cC", 0)])  # cross-file dup of (cA,1)
-    # pin one block per file so the duplicate truly spans batches
-    turns = rd.read_parquet(
-        [str(d / "part-00000.parquet"), str(d / "part-00001.parquet")], override_num_blocks=2
-    )
-    vio = keyspace_checks(turns, ["cA", "cB", "cC"], ValidationConfig(salt_buckets=4)).to_pandas()
+    parts, summ = keyspace_sidecars([str(d / "part-00000.parquet"), str(d / "part-00001.parquet")], str(tmp_path))
+    vio = keyspace_from_states(parts, summ, ["cA", "cB", "cC"], ValidationConfig()).to_pandas()
     got = set(map(tuple, vio[["conv_id", "turn_idx", "check_id"]].itertuples(index=False)))
     assert ("cA", 1, "dup_key") in got
     assert ("cA", 2, "seq_gap") in got  # the masked gap
     assert not any(v[0] in ("cB", "cC") for v in got)
 
 
-def test_range_partitioned_dup_merge_covers_top_range(ray_session):
+def test_range_partitioned_dup_merge_covers_top_range(ray_session, tmp_path):
     """Regression: the hash-range merge must include the top of uint64 space
     (a 2**64 bound cast through uint64 silently became 0)."""
     import numpy as np
@@ -80,18 +78,20 @@ def test_range_partitioned_dup_merge_covers_top_range(ray_session):
 
     top = np.uint64((1 << 64) - 100)
     low = np.uint64(12345)
-    a = np.sort(np.array([low, top, np.uint64(7)], dtype=np.uint64))
-    b = np.sort(np.array([low, top], dtype=np.uint64))
-    dups_local = find_dup_hashes([a.tobytes(), b.tobytes()], n_ranges=1)
-    dups_ranged = find_dup_hashes([a.tobytes(), b.tobytes()], n_ranges=4)
+    pa_, pb = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
+    np.sort(np.array([low, top, np.uint64(7)], dtype=np.uint64)).tofile(pa_)
+    np.sort(np.array([low, top], dtype=np.uint64)).tofile(pb)
+    dups_local = find_dup_hashes([pa_, pb], n_ranges=1)
+    dups_ranged = find_dup_hashes([pa_, pb], n_ranges=4)
     assert set(dups_local.tolist()) == {int(low), int(top)}
     assert set(np.sort(dups_ranged).tolist()) == {int(low), int(top)}
 
 
 def test_find_dup_hashes_from_sidecar_paths(ray_session, tmp_path):
-    """Path entries (sorted uint64 sidecar files) must yield the identical
-    dup set as in-memory bytes, on both the local and range-task paths —
-    the at-scale shape where no blob transits the driver."""
+    """Sorted uint64 sidecar files must yield the exact dup set on both the
+    local and the range-task path — the at-scale shape where no blob
+    transits the driver — and a zero-byte blob (an empty partition) adds
+    nothing."""
     import numpy as np
 
     from teleharvest_ray.stages.keyspace import find_dup_hashes
@@ -101,12 +101,14 @@ def test_find_dup_hashes_from_sidecar_paths(ray_session, tmp_path):
     b = rng.integers(0, 1 << 63, 50_000, dtype=np.uint64)
     b[:500] = a[:500]  # cross-partition dups
     a[10] = a[11]  # intra-partition dup
-    pa_, pb = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
+    pa_, pb, pe = str(tmp_path / "a.bin"), str(tmp_path / "b.bin"), str(tmp_path / "empty.bin")
     np.sort(a).tofile(pa_)
     np.sort(b).tofile(pb)
-    want = set(find_dup_hashes([a.tobytes(), b.tobytes()], n_ranges=1).tolist())
-    got_local = set(find_dup_hashes([pa_, pb], n_ranges=1).tolist())
-    got_ranged = set(find_dup_hashes([pa_, pb], n_ranges=8).tolist())
+    open(pe, "wb").close()
+    vals, counts = np.unique(np.concatenate([a, b]), return_counts=True)
+    want = set(vals[counts > 1].tolist())
+    got_local = set(find_dup_hashes([pa_, pe, pb], n_ranges=1).tolist())
+    got_ranged = set(find_dup_hashes([pa_, pe, pb], n_ranges=8).tolist())
     assert want and got_local == want and got_ranged == want
 
 
@@ -186,3 +188,48 @@ def test_lineage_records_stay_small(ray_session, tmp_path):
     recs = glob.glob(os.path.join(out, "checkpoints", "part-*.json"))
     assert len(recs) == 2
     assert all(os.path.getsize(r) < 50_000 for r in recs), [os.path.getsize(r) for r in recs]
+
+
+def test_phase2_reads_only_candidate_partitions(ray_session, keyspace_sidecars, tmp_path):
+    """Candidates are located from the sidecars before any data file is
+    read: on a clean corpus every data file can be garbage and the checks
+    still return nothing, and on a dirty corpus garbling a candidate-free
+    file leaves the result unchanged."""
+    import glob
+
+    import numpy as np
+
+    from teleharvest_ray.stages.keyspace import _gap_orphan_candidates, find_dup_hashes
+
+    def corpus(name, spec):
+        d = str(tmp_path / name)
+        generate(d, spec)
+        os.makedirs(d + "/state")
+        files = sorted(glob.glob(d + "/part-*.parquet"))
+        idx = pq.read_table(d + "/conversations.parquet")["conv_id"].to_pylist()
+        return (*keyspace_sidecars(files, d + "/state"), idx)
+
+    def garble(path):
+        with open(path, "wb") as fh:
+            fh.write(b"not a parquet file" * 64)
+
+    parts, summ, idx = corpus("clean", GenSpec(n_convs=80, n_files=4, seed=3, plant=False))
+    for f, _, _ in parts:
+        garble(f)
+    assert keyspace_from_states(parts, summ, idx).num_rows == 0
+
+    parts, summ, idx = corpus("dirty", GenSpec(n_convs=150, n_files=12, seed=23))
+    want = keyspace_from_states(parts, summ, idx).to_pylist()
+    dup_hashes = find_dup_hashes([b for _, b, _ in parts])
+    gap_convs, _ = _gap_orphan_candidates(summ, idx, ValidationConfig())
+    free = [
+        f
+        for f, b, c in parts
+        if not np.isin(dup_hashes, np.fromfile(b, dtype=np.uint64)).any()
+        and not pq.read_table(c)["conv_id"].to_pandas().isin(gap_convs).any()
+    ]
+    assert want and free
+    for f in free:
+        garble(f)
+    key = lambda r: (r["conv_id"], r["turn_idx"], r["check_id"])
+    assert sorted(keyspace_from_states(parts, summ, idx).to_pylist(), key=key) == sorted(want, key=key)

@@ -125,22 +125,29 @@ def _keyspace_case(draw):
 
 @given(case=_keyspace_case())
 @settings(max_examples=15, deadline=None)
-def test_keyspace_matches_bruteforce_oracle(ray_session, case):
+def test_keyspace_matches_bruteforce_oracle(ray_session, keyspace_sidecars, case):
     """The candidates-then-verify keyspace engine must equal a brute-force
-    oracle for ANY turn multiset split across ANY number of blocks (this is
-    the property the masked-gap bug violated)."""
-    import ray.data as rd
+    oracle for ANY turn multiset split across ANY number of partitions, empty
+    ones included (this is the property the masked-gap bug violated)."""
+    import tempfile
+
+    import pyarrow.parquet as pq
 
     convs, known, n_blocks = case
     rows = [(c, t) for c, ts in convs.items() for t in ts]
     df = pd.DataFrame(rows, columns=["conv_id", "turn_idx"])
     df["turn_idx"] = df["turn_idx"].astype("int32")
-    ds = rd.from_pandas(df).repartition(n_blocks)
 
     from teleharvest_ray.config import ValidationConfig
-    from teleharvest_ray.stages.keyspace import keyspace_checks
+    from teleharvest_ray.stages.keyspace import keyspace_from_states
 
-    got = keyspace_checks(ds, known, ValidationConfig(salt_buckets=4)).to_pandas()
+    with tempfile.TemporaryDirectory() as d:
+        files = []
+        for i, block in enumerate(np.array_split(np.arange(len(df)), n_blocks)):
+            files.append(f"{d}/part-{i:05d}.parquet")
+            pq.write_table(pa.Table.from_pandas(df.iloc[block], preserve_index=False), files[-1])
+        parts, summ = keyspace_sidecars(files, d)
+        got = keyspace_from_states(parts, summ, known, ValidationConfig()).to_pandas()
     got_set = set(map(tuple, got[["conv_id", "turn_idx", "check_id"]].itertuples(index=False)))
 
     want = set()

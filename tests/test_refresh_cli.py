@@ -26,7 +26,7 @@ def validated(tmp_path_factory, ray_session):
     d = tmp_path_factory.mktemp("refresh_data")
     o = tmp_path_factory.mktemp("refresh_out")
     generate(str(d), GenSpec(n_convs=80, n_files=4, seed=31))
-    run_validation(str(d), str(o), ValidationConfig(salt_buckets=8))
+    run_validation(str(d), str(o), ValidationConfig())
     return str(d), str(o)
 
 
@@ -97,7 +97,7 @@ def test_refresh_metrics_window(validated, ray_session, tmp_path):
 def test_disabled_checks(validated, ray_session, tmp_path):
     data, _ = validated
     out = str(tmp_path / "disabled_out")
-    cfg = ValidationConfig(salt_buckets=8, disabled_checks=("drift", "low_engagement", "dup_key"))
+    cfg = ValidationConfig(disabled_checks=("drift", "low_engagement", "dup_key"))
     run_validation(data, out, cfg, write_annotated=False)
     vio = read_violations(out)
     assert not set(vio.check_id) & {"drift", "low_engagement", "dup_key"}

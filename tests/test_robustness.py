@@ -25,7 +25,7 @@ def test_core_six_columns_only(ray_session, tmp_path):
     core = [f.name for f in TRANSCRIPT_SCHEMA]
     for f in glob.glob(d + "/part-*.parquet"):
         pq.write_table(pq.read_table(f, columns=core), f)
-    s = run_validation(d, o, ValidationConfig(salt_buckets=8), write_annotated=False)
+    s = run_validation(d, o, ValidationConfig(), write_annotated=False)
     vio = read_violations(o)
     # metric-dependent checks silently skip; text/key checks still fire
     assert not set(vio.check_id) & {"low_engagement", "metrics_missing"}
@@ -39,7 +39,7 @@ def test_empty_partition(ray_session, tmp_path):
     # add an empty partition file with the full schema
     first = pq.read_table(sorted(glob.glob(d + "/part-*.parquet"))[0])
     pq.write_table(first.slice(0, 0), os.path.join(d, "part-00099.parquet"))
-    s = run_validation(d, o, ValidationConfig(salt_buckets=8), write_annotated=False)
+    s = run_validation(d, o, ValidationConfig(), write_annotated=False)
     vio = read_violations(o)
     # empty partition: no violations (in particular no spurious drift), passes
     assert len(vio) == 0
@@ -57,7 +57,7 @@ def test_multi_row_group_file(ray_session, tmp_path):
     tbl = pq.read_table(f)
     pq.write_table(tbl, f, row_group_size=97)  # force ~10 row groups
     assert pq.ParquetFile(f).num_row_groups > 5
-    s = run_validation(d, o, ValidationConfig(salt_buckets=8), write_annotated=True)
+    s = run_validation(d, o, ValidationConfig(), write_annotated=True)
     assert s["rows_scanned"] == tbl.num_rows
     ann = pq.read_table(os.path.join(o, "annotated", "part-00000.parquet"))
     assert ann.num_rows == tbl.num_rows
@@ -88,7 +88,7 @@ def test_er_exemption_is_file_local_across_row_groups(ray_session, tmp_path):
     # row groups of 3: row 2 (turn_idx=2) is last-of-group but interior in file
     pq.write_table(tbl, os.path.join(d, "part-00000.parquet"), row_group_size=3)
     assert pq.ParquetFile(os.path.join(d, "part-00000.parquet")).num_row_groups == 2
-    cfg = ValidationConfig(salt_buckets=4, drift_chi2_threshold=1e9, drift_ks_threshold=1e9,
+    cfg = ValidationConfig(drift_chi2_threshold=1e9, drift_ks_threshold=1e9,
                            drift_quantile_rel_threshold=1e9)
     run_validation(d, o, cfg, write_annotated=False)
     vio = read_violations(o)
@@ -158,3 +158,39 @@ def test_poison_first_partition_profile_fallback(ray_session, tmp_path):
         ["conv_id", "turn_idx", "check_id"]
     ].drop_duplicates()
     assert set(map(tuple, got.to_numpy())) == set(map(tuple, exp.to_numpy()))
+
+
+ONE_CPU_RUN = """
+import json, sys
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+from teleharvest_ray.pipelines.validate import run_validation
+print(json.dumps(run_validation(sys.argv[1], sys.argv[2], write_annotated=False), default=str))
+"""
+
+
+def test_one_cpu_session_completes(tmp_path):
+    """A session smaller than validator_num_cpus still validates: the actor's
+    CPU request is clamped to the session, and phase 2's tasks get the CPU
+    back once phase 1 is done (either fault hangs the run for good)."""
+    import json
+    import signal
+    import subprocess
+    import sys
+
+    d = str(tmp_path / "data")
+    generate(d, GenSpec(n_convs=40, n_files=2, seed=7))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", ONE_CPU_RUN, d, str(tmp_path / "out")],
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=240)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("validation in a 1-CPU session did not finish within 240 s")
+    assert proc.returncode == 0, err[-800:]
+    s = json.loads(out.strip().splitlines()[-1])
+    assert s["n_validated_now"] == 2 and not s["global_checks_skipped"]

@@ -26,7 +26,7 @@ def _vio_set(df: pd.DataFrame) -> set:
 
 def test_full_run_matches_manifest(ray_session, dataset, tmp_path):
     out = str(tmp_path / "out")
-    summary = run_validation(dataset, out, ValidationConfig(salt_buckets=8))
+    summary = run_validation(dataset, out, ValidationConfig())
     exp = pq.read_table(dataset + "/expected_violations.parquet").to_pandas()
     got = read_violations(out)
     missing = _vio_set(exp) - _vio_set(got)
@@ -51,7 +51,7 @@ def test_full_run_matches_manifest(ray_session, dataset, tmp_path):
 
 def test_resume_revalidates_only_missing(ray_session, dataset, tmp_path):
     out = str(tmp_path / "out_resume")
-    s1 = run_validation(dataset, out, ValidationConfig(salt_buckets=8))
+    s1 = run_validation(dataset, out, ValidationConfig())
     v1 = read_violations(out)
     # simulate a kill after 3 of 6 partitions: drop 3 checkpoint records and
     # their outputs
@@ -60,7 +60,7 @@ def test_resume_revalidates_only_missing(ray_session, dataset, tmp_path):
         os.unlink(os.path.join(out, "checkpoints", f"{pid}.json"))
         os.unlink(os.path.join(out, "violations", f"{pid}.parquet"))
         os.unlink(os.path.join(out, "annotated", f"{pid}.parquet"))
-    s2 = run_validation(dataset, out, ValidationConfig(salt_buckets=8))
+    s2 = run_validation(dataset, out, ValidationConfig())
     assert s2["n_validated_now"] == 3
     assert s2["n_resumed"] == 3
     v2 = read_violations(out)
@@ -71,8 +71,8 @@ def test_resume_revalidates_only_missing(ray_session, dataset, tmp_path):
 
 def test_fresh_rerun_is_deterministic(ray_session, dataset, tmp_path):
     out1, out2 = str(tmp_path / "d1"), str(tmp_path / "d2")
-    run_validation(dataset, out1, ValidationConfig(salt_buckets=8))
-    run_validation(dataset, out2, ValidationConfig(salt_buckets=8))
+    run_validation(dataset, out1, ValidationConfig())
+    run_validation(dataset, out2, ValidationConfig())
     assert _vio_set(read_violations(out1)) == _vio_set(read_violations(out2))
 
 
@@ -161,7 +161,9 @@ def test_capability_probe_disables_scoring(ray_session, tmp_path):
 
 def test_grown_partition_without_sidecars_full_rescans(ray_session, tmp_path):
     """A record lacking usable sidecar state (older format / files removed)
-    must trigger a FULL rescan of a grown partition, never a lossy delta."""
+    must trigger a FULL rescan of its partition — of an unchanged one, since
+    phase 2 reads key state only from sidecars, and of a grown one, never a
+    lossy delta."""
     import glob as _glob
 
     import pyarrow as pa
@@ -170,6 +172,13 @@ def test_grown_partition_without_sidecars_full_rescans(ray_session, tmp_path):
     generate(d, GenSpec(n_convs=40, n_files=2, seed=33))
     out = str(tmp_path / "oldfmt_out")
     run_validation(d, out, ValidationConfig(), write_annotated=False)
+    for f in _glob.glob(os.path.join(out, "keyspace", "part-00000-*")):
+        os.unlink(f)
+    s = run_validation(d, out, ValidationConfig(), write_annotated=False)
+    assert s["n_validated_now"] == 1 and s["n_resumed"] == 1
+    ctl = str(tmp_path / "oldfmt_ctl")
+    run_validation(d, ctl, ValidationConfig(), write_annotated=False)
+    assert _vio_set(read_violations(out)) == _vio_set(read_violations(ctl))
     # simulate an older-release record: drop the sidecar files
     for f in _glob.glob(os.path.join(out, "keyspace", "part-00001-*")):
         os.unlink(f)
@@ -195,6 +204,59 @@ def test_grown_partition_without_sidecars_full_rescans(ray_session, tmp_path):
     run_validation(d, out, ValidationConfig(), write_annotated=False)
     got = read_violations(out)
     assert (dup_conv, 0, "dup_key") in _vio_set(got)
+
+
+def test_replaced_partition_full_rescans(ray_session, tmp_path):
+    """A file replaced by different content with the same row count is
+    revalidated in full: neither skipped nor read as a delta."""
+    import pyarrow as pa
+
+    d = str(tmp_path / "swap")
+    generate(d, GenSpec(n_convs=40, n_files=2, seed=34))
+    out = str(tmp_path / "swap_out")
+    run_validation(d, out, ValidationConfig(), write_annotated=False)
+    p = os.path.join(d, "part-00000.parquet")
+    old = pq.read_table(p)
+    df = old.to_pandas()
+    df.loc[1, ["conv_id", "turn_idx"]] = df.loc[0, ["conv_id", "turn_idx"]].to_numpy()  # a new dup key
+    pq.write_table(pa.Table.from_pandas(df, schema=old.schema, preserve_index=False), p)
+    s = run_validation(d, out, ValidationConfig(), write_annotated=False)
+    assert s["n_validated_now"] == 1 and s["n_resumed"] == 1
+    ctl = str(tmp_path / "swap_ctl")
+    run_validation(d, ctl, ValidationConfig(), write_annotated=False)
+    assert _vio_set(read_violations(out)) == _vio_set(read_violations(ctl))
+
+
+def test_run_releases_session_cpus(ray_session, tmp_path):
+    """Every session CPU is free again soon after run_validation returns: the
+    phase-1 actor pool is released by the run itself, not left to a later gc
+    pass. The automatic collector is off during the run so it cannot free the
+    pool by chance; the corpus is clean so phase 2 submits no task that an
+    unreleased pool would block forever."""
+    import gc
+    import time
+
+    import ray
+
+    def all_free() -> bool:
+        total = ray.cluster_resources()["CPU"]
+        deadline = time.monotonic() + 10
+        while ray.available_resources().get("CPU", 0) < total:
+            if time.monotonic() > deadline:
+                return False
+            time.sleep(0.1)
+        return True
+
+    d = str(tmp_path / "clean")
+    generate(d, GenSpec(n_convs=40, n_files=4, seed=8, plant=False))
+    gc.collect()  # pools other tests left to the garbage collector
+    assert all_free(), ray.available_resources()
+    gc.disable()
+    try:
+        run_validation(d, str(tmp_path / "out"), ValidationConfig(), write_annotated=False)
+        assert all_free(), ray.available_resources()
+    finally:
+        gc.enable()
 
 
 def test_incremental_two_successive_appends(ray_session, tmp_path):
