@@ -2383,7 +2383,7 @@ def q_dedup_clusters(sf_dir: str) -> pd.DataFrame:
 
 
 QUERIES["q_dedup_clusters"] = q_dedup_clusters
-ORACLE_SQL["q_dedup_clusters"] = """
+ORACLE_SQL["q_dedup_clusters"] = f"""
     WITH RECURSIVE
     d AS (SELECT doc_id, string_split(text, ' ') AS ws FROM documents),
     g AS (SELECT DISTINCT doc_id,
@@ -2393,7 +2393,7 @@ ORACLE_SQL["q_dedup_clusters"] = """
                   ROW_NUMBER() OVER (PARTITION BY gram ORDER BY doc_id) AS rn FROM g),
     e AS (SELECT a.doc_id AS u, b.doc_id AS v
           FROM gc a JOIN gc b USING (gram)
-          WHERE a.doc_id <> b.doc_id AND a.rn <= 2000 AND b.rn <= 2000 GROUP BY 1, 2),
+          WHERE a.doc_id <> b.doc_id AND a.rn <= {dd.GRAM_CAP} AND b.rn <= {dd.GRAM_CAP} GROUP BY 1, 2),
     -- min-label reachability: a label only needs to propagate while it is
     -- smaller than the receiving node (the component minimum satisfies this
     -- on every hop), which keeps the closure linear in practice
@@ -4463,7 +4463,7 @@ def q_dedup_survivors(sf_dir: str) -> pd.DataFrame:
 
 
 QUERIES["q_dedup_survivors"] = q_dedup_survivors
-ORACLE_SQL["q_dedup_survivors"] = """
+ORACLE_SQL["q_dedup_survivors"] = f"""
     WITH RECURSIVE
     d AS (SELECT doc_id, string_split(text, ' ') AS ws FROM documents),
     g AS (SELECT DISTINCT doc_id,
@@ -4473,7 +4473,7 @@ ORACLE_SQL["q_dedup_survivors"] = """
                   ROW_NUMBER() OVER (PARTITION BY gram ORDER BY doc_id) AS rn FROM g),
     e AS (SELECT a.doc_id AS u, b.doc_id AS v
           FROM gc a JOIN gc b USING (gram)
-          WHERE a.doc_id <> b.doc_id AND a.rn <= 2000 AND b.rn <= 2000 GROUP BY 1, 2),
+          WHERE a.doc_id <> b.doc_id AND a.rn <= {dd.GRAM_CAP} AND b.rn <= {dd.GRAM_CAP} GROUP BY 1, 2),
     reach AS (
         SELECT doc_id AS node, doc_id AS label FROM documents
         UNION
@@ -4865,7 +4865,7 @@ def q_pagerank(sf_dir: str) -> pd.DataFrame:
 
     docs = rd.read_parquet(_p(sf_dir, "documents"), columns=["doc_id", "text"])
     # the per-gram pair cap (dedup.GRAM_CAP) is ACTIVE here and mirrored in
-    # the oracle's rank filter (gc.rn <= 2000), so the capped candidate graph
+    # the oracle's rank filter (gc.rn <= GRAM_CAP), so the capped candidate graph
     # stays SQL-exact even when a degenerate gram exceeds the cap
     edges = dd.gram_edges(docs, "text", "doc_id", n=4)
     ranks = cl.pagerank(edges, nodes=docs.select_columns(["doc_id"]), iters=3)
@@ -5006,7 +5006,7 @@ ORACLE_SQL["q_trend_by_type"] = """
 """
 
 QUERIES["q_pagerank"] = q_pagerank
-ORACLE_SQL["q_pagerank"] = """
+ORACLE_SQL["q_pagerank"] = f"""
     WITH d AS (SELECT doc_id, string_split(text, ' ') AS ws FROM documents),
     g AS (SELECT DISTINCT doc_id,
                  unnest([array_to_string(ws[i:i+3], ' ') FOR i IN generate_series(1, len(ws) - 3)]) AS gram
@@ -5015,7 +5015,7 @@ ORACLE_SQL["q_pagerank"] = """
                   ROW_NUMBER() OVER (PARTITION BY gram ORDER BY doc_id) AS rn FROM g),
     e AS (SELECT a.doc_id AS u, b.doc_id AS v
           FROM gc a JOIN gc b USING (gram)
-          WHERE a.doc_id <> b.doc_id AND a.rn <= 2000 AND b.rn <= 2000 GROUP BY 1, 2),
+          WHERE a.doc_id <> b.doc_id AND a.rn <= {dd.GRAM_CAP} AND b.rn <= {dd.GRAM_CAP} GROUP BY 1, 2),
     deg AS (SELECT u, COUNT(*) AS dg FROM e GROUP BY u),
     r0 AS (SELECT doc_id AS node, CAST(1000000 AS BIGINT) AS r FROM documents),
     s1 AS (SELECT e.v AS node, SUM(r0.r // deg.dg) AS s
@@ -5054,7 +5054,7 @@ ORACLE_SQL["q_ppm_decode"] = """
 """
 
 
-_GRAM_EDGE_CTE = """
+_GRAM_EDGE_CTE = f"""
     WITH d AS (SELECT doc_id, string_split(text, ' ') AS ws FROM documents),
     g AS (SELECT DISTINCT doc_id,
                  unnest([array_to_string(ws[i:i+3], ' ') FOR i IN generate_series(1, len(ws) - 3)]) AS gram
@@ -5063,7 +5063,7 @@ _GRAM_EDGE_CTE = """
                   ROW_NUMBER() OVER (PARTITION BY gram ORDER BY doc_id) AS rn FROM g),
     e AS (SELECT a.doc_id AS id_a, b.doc_id AS id_b
           FROM gc a JOIN gc b USING (gram)
-          WHERE a.doc_id < b.doc_id AND a.rn <= 2000 AND b.rn <= 2000 GROUP BY 1, 2)
+          WHERE a.doc_id < b.doc_id AND a.rn <= {dd.GRAM_CAP} AND b.rn <= {dd.GRAM_CAP} GROUP BY 1, 2)
 """
 
 
@@ -6673,7 +6673,7 @@ def q_containment_pairs(sf_dir: str) -> pd.DataFrame:
 
 
 QUERIES["q_containment_pairs"] = q_containment_pairs
-ORACLE_SQL["q_containment_pairs"] = """
+ORACLE_SQL["q_containment_pairs"] = f"""
     WITH d AS (SELECT doc_id, regexp_extract_all(text, '\\S+') AS ws FROM documents
                WHERE text IS NOT NULL AND len(regexp_extract_all(text, '\\S+')) >= 4),
     g AS (SELECT doc_id,
@@ -6688,7 +6688,7 @@ ORACLE_SQL["q_containment_pairs"] = """
                   ROW_NUMBER() OVER (PARTITION BY gram ORDER BY doc_id) AS rn FROM gd),
     cand AS (SELECT a.doc_id AS id_a, b.doc_id AS id_b
              FROM gr a JOIN gr b USING (gram)
-             WHERE a.doc_id < b.doc_id AND a.rn <= 2000 AND b.rn <= 2000
+             WHERE a.doc_id < b.doc_id AND a.rn <= {dd.GRAM_CAP} AND b.rn <= {dd.GRAM_CAP}
              GROUP BY 1, 2),
     inter AS (SELECT a.doc_id AS id_a, b.doc_id AS id_b, COUNT(*) AS i
               FROM gd a JOIN gd b USING (gram)
@@ -6781,7 +6781,7 @@ def q_bfs_levels(sf_dir: str) -> pd.DataFrame:
 
 
 QUERIES["q_bfs_levels"] = q_bfs_levels
-ORACLE_SQL["q_bfs_levels"] = """
+ORACLE_SQL["q_bfs_levels"] = f"""
     WITH RECURSIVE d AS (SELECT doc_id, string_split(text, ' ') AS ws FROM documents),
     g AS (SELECT DISTINCT doc_id,
                  unnest([array_to_string(ws[i:i+3], ' ') FOR i IN generate_series(1, len(ws) - 3)]) AS gram
@@ -6790,7 +6790,7 @@ ORACLE_SQL["q_bfs_levels"] = """
                   ROW_NUMBER() OVER (PARTITION BY gram ORDER BY doc_id) AS rn FROM g),
     e AS (SELECT a.doc_id AS id_a, b.doc_id AS id_b
           FROM gc a JOIN gc b USING (gram)
-          WHERE a.doc_id < b.doc_id AND a.rn <= 2000 AND b.rn <= 2000 GROUP BY 1, 2),
+          WHERE a.doc_id < b.doc_id AND a.rn <= {dd.GRAM_CAP} AND b.rn <= {dd.GRAM_CAP} GROUP BY 1, 2),
     sym AS (SELECT id_a AS u, id_b AS v FROM e UNION ALL SELECT id_b, id_a FROM e),
     seed AS (SELECT MIN(id_a) AS s FROM e),
     walk(node, lvl) AS (
@@ -6893,7 +6893,7 @@ def q_dedup_report(sf_dir: str) -> pd.DataFrame:
 
 
 QUERIES["q_dedup_report"] = q_dedup_report
-ORACLE_SQL["q_dedup_report"] = """
+ORACLE_SQL["q_dedup_report"] = f"""
     WITH RECURSIVE
     d AS (SELECT doc_id, string_split(text, ' ') AS ws FROM documents),
     g AS (SELECT DISTINCT doc_id,
@@ -6903,7 +6903,7 @@ ORACLE_SQL["q_dedup_report"] = """
                   ROW_NUMBER() OVER (PARTITION BY gram ORDER BY doc_id) AS rn FROM g),
     e AS (SELECT a.doc_id AS u, b.doc_id AS v
           FROM gc a JOIN gc b USING (gram)
-          WHERE a.doc_id <> b.doc_id AND a.rn <= 2000 AND b.rn <= 2000 GROUP BY 1, 2),
+          WHERE a.doc_id <> b.doc_id AND a.rn <= {dd.GRAM_CAP} AND b.rn <= {dd.GRAM_CAP} GROUP BY 1, 2),
     reach AS (
         SELECT doc_id AS node, doc_id AS label FROM documents
         UNION

@@ -19,8 +19,8 @@ conversation (batch-local watermark, like the reference's per-channel
 watermark captured in EP1), and rewrite the partition's ``metrics_missing``
 violations copy-on-write; all other violation kinds are preserved untouched.
 
-Both are actor-pool per-partition maps, resumable by construction (atomic
-file replace; re-running is idempotent).
+Both are actor-pool per-partition maps (:func:`_map_partitions`), resumable
+by construction (atomic file replace; re-running is idempotent).
 """
 
 from __future__ import annotations
@@ -41,6 +41,28 @@ from ..config import ValidationConfig
 from ..functions import textfuncs as tf
 from ..state.checkpoint import atomic_write_parquet
 from ..state.profile import ReferenceProfile
+from .validate import release_pool
+
+
+def _map_partitions(items: list, actor_cls, args: tuple) -> pd.DataFrame:
+    """One actor per CPU of the session (at most one per item) maps
+    ``actor_cls`` over ``items``, one item per call. The pool is released
+    before returning (:func:`~.validate.release_pool`)."""
+    n_cpus = int(ray.cluster_resources().get("CPU", 0))
+    if not n_cpus:
+        raise RuntimeError("the Ray session has no CPUs to run refreshers on")
+    free_cpus = ray.available_resources().get("CPU", 0)
+    ds = rd.from_items(items).map_batches(
+        actor_cls,
+        fn_constructor_args=args,
+        batch_size=1,
+        concurrency=max(1, min(len(items), n_cpus)),
+        batch_format="pandas",
+    )
+    res = ds.to_pandas()
+    del ds
+    release_pool(free_cpus)
+    return res
 
 
 class SimilarityRefresher:
@@ -76,22 +98,12 @@ class SimilarityRefresher:
         return {"partition": os.path.basename(path), "rows_refreshed": n_elig}
 
 
-def refresh_similarity(out_dir: str, profile: ReferenceProfile, concurrency: int | None = None) -> dict:
+def refresh_similarity(out_dir: str, profile: ReferenceProfile) -> dict:
     """Recompute similarity for every annotated partition against ``profile``."""
     files = sorted(glob.glob(os.path.join(out_dir, "annotated", "*.parquet")))
     if not files:
         return {"partitions": 0, "rows_refreshed": 0}
-    profile_ref = ray.put(profile)
-    avail = int(ray.available_resources().get("CPU", 4))
-    conc = concurrency or max(1, min(len(files), avail))
-    ds = rd.from_items([{"path": f} for f in files])
-    res = ds.map_batches(
-        SimilarityRefresher,
-        fn_constructor_args=(profile_ref, out_dir),
-        batch_size=1,
-        concurrency=conc,
-        batch_format="pandas",
-    ).to_pandas()
+    res = _map_partitions([{"path": f} for f in files], SimilarityRefresher, (ray.put(profile), out_dir))
     return {"partitions": len(res), "rows_refreshed": int(res["rows_refreshed"].sum())}
 
 
@@ -165,7 +177,6 @@ def refresh_metrics(
     out_dir: str,
     cfg: ValidationConfig | None = None,
     window: int = 1000,
-    concurrency: int | None = None,
 ) -> dict:
     """Bounded-window metrics re-scan over every validated partition."""
     cfg = cfg or ValidationConfig()
@@ -177,16 +188,7 @@ def refresh_metrics(
     pids = [os.path.splitext(os.path.basename(f))[0] for f in files]
     if not pids:
         return {"partitions": 0}
-    avail = int(ray.available_resources().get("CPU", 4))
-    conc = concurrency or max(1, min(len(pids), avail))
-    ds = rd.from_items([{"pid": p} for p in pids])
-    res = ds.map_batches(
-        MetricsRefresher,
-        fn_constructor_args=(cfg, data_dir, out_dir, window),
-        batch_size=1,
-        concurrency=conc,
-        batch_format="pandas",
-    ).to_pandas()
+    res = _map_partitions([{"pid": p} for p in pids], MetricsRefresher, (cfg, data_dir, out_dir, window))
     return {
         "partitions": len(res),
         "window_rows": int(res["window_rows"].sum()),

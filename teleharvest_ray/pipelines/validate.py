@@ -14,10 +14,12 @@ Ray Data:
   a killed run resumes by replaying only partitions without a record.
 - **Phase 2 — key-space checks** (the PK/watermark discipline,
   ``models/message.py:34-36,75-89``): dup/seq/orphan violations from the
-  key-hash and conversation-partial sidecars phase 1 wrote per partition; a
-  partition's data file is read again only when its sidecars hold a
-  candidate (``stages/keyspace.py``). Recorded under the ``_global``
-  checkpoint key, recomputed only when the validated partition set changed.
+  sorted key-run and conversation-partial sidecars phase 1 wrote per
+  partition, merged hash range by hash range; a partition's data file is
+  read again only when its sidecars hold a candidate
+  (``stages/keyspace.py``, which alone knows the sidecar formats). Recorded
+  under the ``_global`` checkpoint key, recomputed only when the validated
+  partition set or the conversations index changed.
 
 Partition = input file: at 100 TB the input is O(100k) files of 0.25–1 GB, so
 file granularity gives both enough parallelism for a 256-node cluster and
@@ -36,7 +38,6 @@ import hashlib as _hashlib
 import os
 import time
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -45,12 +46,14 @@ import ray.data as rd
 
 from ..checks import filter_violations
 from ..config import ValidationConfig
-from ..stages.keyspace import (
+from ..stages.keyspace import (  # noqa: F401 — conv_partials_table, merge_conv_partials: rebound by valbench/tracing.py
     build_bloom_index,
     conv_partials_table,
     keyspace_from_states,
     merge_conv_partials,
     prep_state,
+    prune_sidecars,
+    write_sidecars,
 )
 from ..stages.row_checks import build_conv_last, chain_violations, evaluate_chain
 from ..stages.stats import (
@@ -111,7 +114,7 @@ class PartitionValidator:
             "violations": 0,
             "pass": False,
             "sketch_state": b"",
-            "keyspace_conv_path": "",
+            "keyspace_partials": "",
             "keyspace_blob": "",
             "keyspace_digest": "",
             "input_file": path,
@@ -142,24 +145,19 @@ class PartitionValidator:
         # exemption recasts the reference's per-batch flag, processor.py:76-77)
         # and the stats sketches merge associatively, so group-wise == whole.
         pf = pq.ParquetFile(path)
-        # per-conv max turn (over the fetched span) for the last-turn ER
-        # exemption: a cheap two-column read keeps the exemption fetch-scoped
-        # even though the text columns stream row-group-wise
-        conv_last = None
-        try:
-            kt = pq.read_table(path, columns=["conv_id", "turn_idx"])
-            if start_row:
-                kt = kt.slice(start_row)
-            cl_conv = kt["conv_id"].to_pandas()
-            cl_turn = kt["turn_idx"].to_numpy(zero_copy_only=False)
-            # sorted-hash-array map, not a Python dict: ~12 B/conversation
-            # (uint64 key + max) vs ~100+ B/entry for an object dict — the
-            # heaviest per-task transient at multi-million-conv files
-            conv_last = build_conv_last(cl_conv.to_numpy(), cl_turn)
-        except Exception:
-            pass
+        # the fetched span's key columns, one cheap two-column read: they
+        # scope the last-turn ER exemption to the fetch (per-conv max turn)
+        # even though the text columns stream row-group-wise, and they are
+        # the span's key-space state
+        kt = pq.read_table(path, columns=["conv_id", "turn_idx"]).slice(start_row)
+        # sorted-hash-array map, not a Python dict: ~12 B/conversation
+        # (uint64 key + max) vs ~100+ B/entry for an object dict — the
+        # heaviest per-task transient at multi-million-conv files
+        conv_last = build_conv_last(
+            kt["conv_id"].to_pandas().to_numpy(), kt["turn_idx"].to_numpy(zero_copy_only=False)
+        )
+        ks = prep_state(kt)
         ann_parts, vio_parts, stats = [], [], None
-        ks_blobs, ks_convs = [], []
         cum = 0
         for rg in range(pf.num_row_groups):
             n_rg = pf.metadata.row_group(rg).num_rows
@@ -175,11 +173,8 @@ class PartitionValidator:
             vio_parts.append(chain_violations(ann_g))
             s = partition_stats(tbl_g, self.cfg)
             stats = s if stats is None else merge_stats(stats, s)
-            ks = prep_state(tbl_g)
-            ks_blobs.append(ks["blob"])
-            ks_convs.append(ks["conv"])
         if stats is None:  # zero row groups (or an empty delta)
-            empty = pq.read_table(path).slice(start_row)
+            empty = pf.schema_arrow.empty_table()
             ann_parts = [evaluate_chain(empty, self.cfg, self.profile.exemplars)]
             vio_parts = [chain_violations(ann_parts[0])]
             stats = partition_stats(empty, self.cfg)
@@ -188,9 +183,9 @@ class PartitionValidator:
         delta_rows = ann.num_rows
 
         # Incremental path: fold the already-validated prefix's state back in
-        # (sketches merge associatively; hash blobs concatenate; conv partials
-        # re-aggregate) so the record/sidecar describe the WHOLE partition.
-        prev_rows = 0
+        # (sketches merge associatively; key runs concatenate; conv partials
+        # re-aggregate) so the record/sidecars describe the WHOLE partition.
+        prev_rows, prev_sidecars = 0, None
         if start_row:
             old = CheckpointStore(os.path.join(self.out_dir, "checkpoints")).read(pid)
             if old is not None:
@@ -200,43 +195,16 @@ class PartitionValidator:
                 # scheduling only emits start_row>0 when both sidecars exist
                 # (run_validation's work list) — older record formats take
                 # the full-rescan path instead of a lossy delta
-                ob = old.get("keyspace_blob")
-                if ob and os.path.exists(ob):
-                    ks_blobs.insert(0, np.fromfile(ob, dtype=np.uint64).tobytes())
-                oc = old.get("keyspace_conv_path")
-                if oc and os.path.exists(oc):
-                    ks_convs.insert(0, pq.read_table(oc).to_pandas())
+                prev_sidecars = (old["keyspace_blob"], old["keyspace_partials"])
 
         # key-space state piggybacks on this scan of the partition so phase 2
         # re-reads a partition only when its sidecars hold a candidate
-        # (SURVEY §4 shuffle-minimization).
-        # The packed-hash blob is SORTED here (distributed, in the actor) and
-        # written as a sidecar file next to the partition's outputs — the
-        # lineage record carries only its path + digest, so at 10^12 keys the
-        # driver never holds blob bytes; phase-2 range-merge tasks memmap the
-        # files and binary-search their own hash range (keyspace._range_dups).
-        hashes = (
-            np.sort(np.frombuffer(b"".join(ks_blobs), dtype=np.uint64))
-            if any(ks_blobs)
-            else np.empty(0, np.uint64)
+        # (SURVEY §4 shuffle-minimization). The sidecars are sorted here
+        # (distributed, in the actor) and the lineage record carries only
+        # their paths + digest, so at 10^12 keys the driver never holds them.
+        blob_path, partials_path, blob_digest = write_sidecars(
+            ks, os.path.join(self.out_dir, "keyspace"), pid, prev_sidecars
         )
-        blob_digest = _hashlib.sha256(hashes.tobytes()).hexdigest()
-        # content-addressed sidecar name: a delta revalidation writes a NEW
-        # file, so the prior record's blob stays intact until the new record
-        # is durable (the driver deletes superseded blobs only after
-        # store.write) — a crash anywhere leaves a consistent (record, blob)
-        # pair to resume from
-        blob_path = os.path.join(self.out_dir, "keyspace", f"{pid}-{blob_digest[:12]}.bin")
-        os.makedirs(os.path.dirname(blob_path), exist_ok=True)
-        tmp = blob_path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(hashes.tobytes())
-        os.replace(tmp, blob_path)
-        # conv partials go to a parquet sidecar under the same epoch tag —
-        # phase 2 re-aggregates all partitions' partials (distributed when
-        # they are large) and looks candidate conversations up in each
-        conv_path = os.path.join(self.out_dir, "keyspace", f"{pid}-{blob_digest[:12]}-conv.parquet")
-        atomic_write_parquet(conv_partials_table(merge_conv_partials(ks_convs)), conv_path)
 
         # drift is a whole-partition distribution check → merged stats
         findings = (
@@ -280,7 +248,7 @@ class PartitionValidator:
             "violations": vio.num_rows,
             "pass": vio.num_rows == 0,
             "sketch_state": stats_to_bytes(stats),
-            "keyspace_conv_path": conv_path,
+            "keyspace_partials": partials_path,
             "keyspace_blob": blob_path,
             "keyspace_digest": blob_digest,
             "input_file": path,
@@ -289,6 +257,22 @@ class PartitionValidator:
             "wall_s": round(time.perf_counter() - t0, 4),
             "error": "",
         }
+
+
+#: longest :func:`release_pool` waits for a pool's CPUs to come back
+_POOL_RELEASE_WAIT_S = 30.0
+
+
+def release_pool(free_cpus: float) -> None:
+    """Give a dropped Dataset's actor pool back to the session: collect it
+    (an executed Dataset sits in reference cycles), then wait, at most
+    :data:`_POOL_RELEASE_WAIT_S`, until the session again has the
+    ``free_cpus`` it had before the pool started. The actors exit
+    asynchronously, and the next stage or run needs their CPUs."""
+    gc.collect()
+    deadline = time.monotonic() + _POOL_RELEASE_WAIT_S
+    while ray.available_resources().get("CPU", 0) < free_cpus and time.monotonic() < deadline:
+        time.sleep(0.05)
 
 
 def probe_scoring_capability(probe) -> bool:
@@ -377,7 +361,7 @@ def run_validation(
         # record without them (an older format, or files removed) is
         # revalidated in full — a delta would drop the prefix's key state
         if rec is None or not all(
-            rec.get(k) and os.path.exists(rec[k]) for k in ("keyspace_blob", "keyspace_conv_path")
+            rec.get(k) and os.path.exists(rec[k]) for k in ("keyspace_blob", "keyspace_partials")
         ):
             todo.append({"path": f, "pid": p, "start_row": 0})
             done.pop(p, None)
@@ -412,7 +396,8 @@ def run_validation(
         if not total_cpus:
             raise RuntimeError("the Ray session has no CPUs to run validators on")
         actor_cpus = min(cfg.validator_num_cpus, total_cpus)
-        conc = max(1, min(len(todo), int(ray.available_resources().get("CPU", 0) // actor_cpus)))
+        free_cpus = ray.available_resources().get("CPU", 0)
+        conc = max(1, min(len(todo), int(free_cpus // actor_cpus)))
         ds = rd.from_items(todo)
         result = ds.map_batches(
             PartitionValidator,
@@ -433,28 +418,21 @@ def run_validation(
                 store.write(rec["partition_id"], rec)
                 new_records.append(rec)
                 # the record is durable → superseded sidecar files can go
-                keep = {rec.get("keyspace_blob"), rec.get("keyspace_conv_path")}
-                for pat in ("-*.bin", "-*-conv.parquet"):
-                    for stale in glob.glob(
-                        os.path.join(out_dir, "keyspace", rec["partition_id"] + pat)
-                    ):
-                        if stale not in keep:
-                            try:
-                                os.unlink(stale)
-                            except OSError:
-                                pass
+                prune_sidecars(
+                    os.path.join(out_dir, "keyspace"),
+                    rec["partition_id"],
+                    {rec["keyspace_blob"], rec["keyspace_partials"]},
+                )
         # per-stage execution stats (wall/cpu/memory per operator) for tuning
         try:
             with open(os.path.join(out_dir, "ray_stats.txt"), "w") as fh:
                 fh.write(result.stats())
         except Exception:
             pass
-        # the actor pool holds its CPUs until the executed Dataset is
-        # collected, and it sits in reference cycles: without this, phase 2's
-        # tasks (and a second run in this session) wait for CPUs that only a
-        # later, arbitrary gc pass frees
+        # phase 2's tasks (and a second run in this session) need the
+        # pool's CPUs back
         del ds, result
-        gc.collect()
+        release_pool(free_cpus)
 
     all_records = {**done, **{r["partition_id"]: r for r in new_records}}
     # errored partitions contribute NO state anywhere downstream
@@ -474,12 +452,18 @@ def run_validation(
     # key columns read again
     gkey = "_global"
     grec = store.read(gkey) if resume else None
+    conv_index_path = os.path.join(data_dir, "conversations.parquet")
     # staleness is keyed on a digest over WHICH partitions were validated and
-    # their keyspace content (per-partition blob digests computed by the
-    # validators — the driver never re-reads blob bytes to digest them), not
-    # just the partition count — a replaced same-count partition set must
-    # recompute the global checks
+    # their keyspace content (per-partition key digests computed by the
+    # validators — the driver never re-reads sidecar bytes to digest them),
+    # not just the partition count — a replaced same-count partition set must
+    # recompute the global checks — and over the conversations index's
+    # identity (size + mtime, as the work list keys partitions), which
+    # decides the orphans
     dig = _hashlib.sha256()
+    if os.path.exists(conv_index_path):
+        st = os.stat(conv_index_path)
+        dig.update(f"index:{st.st_size}:{st.st_mtime}".encode())
     for pid in good_pids:
         rec = all_records[pid]
         dig.update(pid.encode())
@@ -496,7 +480,6 @@ def run_validation(
         g_violations = 0
         global_checks_skipped = True
     elif grec is None or grec.get("digest") != global_digest:
-        conv_index_path = os.path.join(data_dir, "conversations.parquet")
         if not os.path.exists(conv_index_path):
             known = []
         elif pq.ParquetFile(conv_index_path).metadata.num_rows > cfg.orphan_bloom_threshold:
@@ -505,24 +488,15 @@ def run_validation(
             known = build_bloom_index(conv_index_path)
         else:
             known = pq.read_table(conv_index_path)["conv_id"].to_pylist()
+        # the sidecar paths and the index are all phase 2 needs: keyspace
+        # merges the sidecars hash range by hash range, so the driver sees
+        # only candidates
         parts = [
-            (f, all_records[p]["keyspace_blob"], all_records[p]["keyspace_conv_path"])
+            (f, all_records[p]["keyspace_blob"], all_records[p]["keyspace_partials"])
             for f, p in zip(files, pids)
             if p in all_records
         ]
-        # The conv partial sidecars stream through a distributed groupby, so
-        # the driver sees only candidates. Below a size threshold they merge
-        # driver-side instead: a Ray groupby costs seconds of fixed overhead
-        # that dwarfs a small pandas merge (equivalence of the two paths is
-        # test-asserted).
-        conv_paths = [c for _, _, c in parts]
-        n_partial_rows = sum(pq.ParquetFile(c).metadata.num_rows for c in conv_paths)
-        if n_partial_rows < 2_000_000:
-            summ = merge_conv_partials([pq.read_table(c).to_pandas() for c in conv_paths])
-        else:
-            summ = rd.read_parquet(conv_paths)
-        gvio = keyspace_from_states(parts, summ, known, cfg)
-        gvio = filter_violations(gvio, cfg)
+        gvio = filter_violations(keyspace_from_states(parts, known), cfg)
         atomic_write_parquet(gvio, os.path.join(out_dir, "violations", "_global.parquet"))
         store.write(
             gkey,

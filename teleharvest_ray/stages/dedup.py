@@ -149,6 +149,17 @@ def minhash_banded(
     return ds.map_batches(to_bands, batch_format="pyarrow")
 
 
+#: per-gram participant cap (the standard LSH-bucket cap): inside each gram
+#: bucket only the first GRAM_CAP ids (ascending) pair, bounding a
+#: degenerate gram shared by 10^5 docs to GRAM_CAP^2/2 pairs instead of
+#: 10^10. The graph-analytics oracle SQL mirrors the SAME rank filter
+#: (ROW_NUMBER() OVER (PARTITION BY gram ORDER BY doc_id) <= GRAM_CAP, read
+#: from here), so the engine/oracle pair sets agree even past the cap
+#: (tests/test_gram_cap.py plants a degenerate gram and proves it at a tiny
+#: cap).
+GRAM_CAP = 2000
+
+
 def minhash_lsh_candidates(
     ds: Dataset,
     text_col: str,
@@ -175,7 +186,7 @@ def _typed_empty_pairs(payload_cols: tuple = ()) -> pd.DataFrame:
 
 
 def _tri_pairs(
-    bdf: pd.DataFrame, bucket_cols: list[str], id_col: str, payload_cols: tuple = (), cap: int = 2000
+    bdf: pd.DataFrame, bucket_cols: list[str], id_col: str, payload_cols: tuple = (), cap: int = GRAM_CAP
 ) -> pd.DataFrame:
     """All intra-bucket (id_a < id_b) pairs, fully vectorized: dedupe
     (bucket, id), drop singleton buckets, cap degenerate buckets, then emit
@@ -224,7 +235,7 @@ def _bucket_pairs_distributed(
     id_col: str,
     payload_cols: tuple = (),
     n_parts: int = 32,
-    cap: int = 2000,
+    cap: int = GRAM_CAP,
 ) -> pd.DataFrame:
     """Cluster-scale candidate pairing: ONE hash shuffle on the bucket key
     spreads complete buckets across ``n_parts`` partitions; each partition
@@ -260,16 +271,6 @@ def _bucket_pairs_distributed(
     if not len(pdf):
         return _typed_empty_pairs(payload_cols)
     return pdf.drop_duplicates(["id_a", "id_b"]).reset_index(drop=True)
-
-
-#: per-gram participant cap (the standard LSH-bucket cap): inside each gram
-#: bucket only the first GRAM_CAP ids (ascending) pair, bounding a
-#: degenerate gram shared by 10^5 docs to GRAM_CAP^2/2 pairs instead of
-#: 10^10. The graph-analytics oracle SQL mirrors the SAME rank filter
-#: (ROW_NUMBER() OVER (PARTITION BY gram ORDER BY doc_id) <= 2000), so the
-#: engine/oracle pair sets agree even past the cap (tests/test_gram_cap.py
-#: plants a degenerate gram and proves it at a tiny cap).
-GRAM_CAP = 2000
 
 
 def gram_edges(
@@ -786,7 +787,7 @@ def shared_span_pairs(
     id_col: str,
     min_tokens: int = 8,
     n_parts: int = 32,
-    cap: int = 2000,
+    cap: int = GRAM_CAP,
 ) -> pd.DataFrame:
     """Doc pairs sharing an exact run of >= ``min_tokens`` consecutive
     tokens, with the EXACT longest shared run length per pair.

@@ -11,22 +11,30 @@ per the north_rule:
   conversations index (referential resolution).
 
 Scale design (SURVEY.md §4). Phase 1 already reads every partition once;
-while it does, each partition validator writes two sidecar files
-(``pipelines/validate.py``, ``PartitionValidator._one``): a SORTED blob of
+while it does, each partition validator computes the partition's key state
+(:func:`prep_state`) and writes it as two sidecar files
+(:func:`write_sidecars`, the one writer of both formats): a SORTED run of
 ``hash(conv_id, turn_idx)`` packed uint64s (8 bytes/row, the full composite
 key, so a hot conversation spreads over hash space while identical keys still
-collide) and a parquet table of per-conversation partial sequence stats.
+collide) and an uncompressed Arrow IPC file of per-conversation partial
+sequence stats, SORTED by ``h = hash_strings(conv_id)``. Both are sorted
+runs, so a reader memory-maps a file and slices any hash range ``[lo, hi)``
+of it with a binary search (:func:`_key_run`, :func:`_partials_run`).
 Phase 2 (:func:`keyspace_from_states`) works from those sidecars:
 
-1. Candidate dup hashes come from merging the sorted blobs: locally when
-   small; at cluster scale each of several Ray tasks owns one hash range and
-   memmaps only that range of every blob (:func:`find_dup_hashes`).
-2. Conversation partials aggregate to per-conv summaries; a conversation is
-   gap-free iff ``min == 0 and max == n_distinct - 1``. Duplicate keys across
-   partitions can overcount ``n_distinct`` → false *candidates*, never false
-   violations (step 3 verifies).
-3. Verification is file by file (:func:`_verify_partition`): a partition's
-   blob is binary-searched for the dup candidates and its conv sidecar looked
+1. Candidates, one hash range at a time (:func:`_range_candidates`): the
+   range of every key run merges into its duplicate hashes
+   (:func:`find_dup_hashes`), and the range of every partials file merges
+   exactly by ``conv_id`` into per-conversation summaries; a conversation is
+   a gap candidate unless ``min == 0 and max == n_distinct - 1``, and an
+   orphan when the index lacks it (:func:`_gap_orphan_candidates`).
+   Duplicate keys across partitions can overcount ``n_distinct`` → false
+   *candidates*, never false violations (step 2 verifies). The only size rule
+   is the range count, one per :data:`_KEYS_PER_RANGE` keys (at most 64): one
+   range runs on the driver, more run as Ray tasks, each reading only its own
+   range of every file.
+2. Verification is file by file (:func:`_verify_partition`): a partition's
+   key run is binary-searched for the dup candidates and its partials looked
    up for the candidate conversations, and only on a hit is the data file's
    ``(conv_id, turn_idx)`` read. A clean corpus reads no data file. Exact dup
    counts and first-missing indices are computed driver-side from the picked
@@ -38,6 +46,9 @@ Rows with missing ``conv_id`` are excluded here: they are already flagged
 
 from __future__ import annotations
 
+import functools
+import glob
+import hashlib
 import os
 
 import numpy as np
@@ -47,35 +58,38 @@ import pyarrow.parquet as pq
 
 import ray
 
-from ..config import ValidationConfig
 from ..functions.arrays import member_mask
-from ..functions.hashing import hash_key
+from ..functions.hashing import hash_key, hash_strings
 
 VIOLATION_COLS = ["conv_id", "turn_idx", "check_id", "detail"]
 _member_mask = member_mask
+_NO_HASHES = np.empty(0, np.uint64)
+
+#: phase 2's one size rule: a hash range per this many keys (at most 64).
+#: Below twice this, one range runs on the driver.
+_KEYS_PER_RANGE = 10_000_000
 
 
 def prep_state(tbl: pa.Table) -> dict:
-    """Per-batch key-space state: packed key-hash blob + per-conv partial
-    sequence stats. Mergeable across batches/partitions (blobs concatenate;
-    conv partials re-aggregate). The partition validator writes it as the
-    partition's two sidecar files, from which phase 2 works."""
+    """Key-space state of a ``(conv_id, turn_idx)`` table: the key hashes
+    (unsorted) and per-conv partial sequence stats. Mergeable across
+    partitions and deltas (key hashes concatenate; conv partials
+    re-aggregate); :func:`write_sidecars` writes it as the partition's two
+    sidecar files, from which phase 2 works."""
     conv = np.asarray(tbl["conv_id"].to_pandas(), dtype=object)
     turn = tbl["turn_idx"].to_numpy(zero_copy_only=False)
     turn = np.where(pd.isna(turn), -1, turn).astype(np.int64)  # null → -1 sentinel
     ok = pd.notna(conv) & (conv != "")
     conv, turn = conv[ok], turn[ok]
-    if len(conv) == 0:
-        return {"blob": b"", "conv": pd.DataFrame(columns=["conv_id", "n_distinct", "min_t", "max_t", "n_rows"])}
-    hashes = hash_key(conv, turn)
     df = pd.DataFrame({"conv_id": conv, "turn_idx": turn})
     c = df.groupby("conv_id", sort=False)["turn_idx"].agg(["nunique", "min", "max", "size"]).reset_index()
     c.columns = ["conv_id", "n_distinct", "min_t", "max_t", "n_rows"]
-    return {"blob": hashes.tobytes(), "conv": c}
+    return {"keys": hash_key(conv, turn), "conv": c}
 
 
-CONV_PARTIAL_SCHEMA = pa.schema(
+PARTIALS_SCHEMA = pa.schema(
     [
+        ("h", pa.uint64()),
         ("conv_id", pa.string()),
         ("n_distinct", pa.int64()),
         ("min_t", pa.int64()),
@@ -86,27 +100,20 @@ CONV_PARTIAL_SCHEMA = pa.schema(
 
 
 def conv_partials_table(df: pd.DataFrame) -> pa.Table:
-    """Typed Arrow table for a conv-partials frame (stable sidecar schema —
-    empty partitions still produce a readable, schema-complete file)."""
-    if not len(df):
-        return CONV_PARTIAL_SCHEMA.empty_table()
-    return pa.table(
-        {
-            "conv_id": pa.array(df["conv_id"].to_numpy(object), pa.string()),
-            "n_distinct": pa.array(df["n_distinct"].to_numpy().astype(np.int64)),
-            "min_t": pa.array(df["min_t"].to_numpy().astype(np.int64)),
-            "max_t": pa.array(df["max_t"].to_numpy().astype(np.int64)),
-            "n_rows": pa.array(df["n_rows"].to_numpy().astype(np.int64)),
-        }
-    )
+    """The partials sidecar table of a conv-partials frame: typed columns
+    plus ``h = hash_strings(conv_id)``, sorted by ``h`` so a hash range is a
+    contiguous slice (empty partitions still give a schema-complete file)."""
+    df = df.assign(h=hash_strings(df["conv_id"].to_numpy(object))).sort_values("h", kind="stable")
+    return pa.Table.from_pandas(df, schema=PARTIALS_SCHEMA, preserve_index=False).replace_schema_metadata()
 
 
 def merge_conv_partials(frames: list[pd.DataFrame]) -> pd.DataFrame:
-    """Merge per-batch conv partials into per-conv summaries. n_distinct sums
-    can overcount when a duplicated key spans batches — overcounts either
-    create false gap CANDIDATES (verified exactly, cost: a lookup) or can
-    mask a real gap (nd_sum coincidentally equals max+1), which is why
-    keyspace_from_states ALSO exact-checks every verified-dup conversation."""
+    """Merge conv partials exactly by ``conv_id`` into per-conv summaries.
+    n_distinct sums can overcount when a duplicated key spans partitions —
+    overcounts either create false gap CANDIDATES (verified exactly, cost: a
+    lookup) or can mask a real gap (nd_sum coincidentally equals max+1),
+    which is why keyspace_from_states ALSO exact-checks every verified-dup
+    conversation."""
     frames = [f for f in frames if len(f)]
     if not frames:
         return pd.DataFrame(columns=["conv_id", "n_distinct", "min_t", "max_t", "n_rows"])
@@ -117,6 +124,83 @@ def merge_conv_partials(frames: list[pd.DataFrame]) -> pd.DataFrame:
         max_t=("max_t", "max"),
         n_rows=("n_rows", "sum"),
     ).reset_index()
+
+
+def _span(run: np.ndarray, lo: int, hi: int | None) -> slice:
+    """The slice of sorted uint64 ``run`` holding ``[lo, hi)`` — ``hi=None``
+    means to the end of uint64 space (2**64 is not representable as uint64;
+    casting it through linspace silently became 0 and dropped the whole top
+    range)."""
+    a = np.searchsorted(run, np.uint64(lo))
+    return slice(a, len(run) if hi is None else np.searchsorted(run, np.uint64(hi)))
+
+
+def _key_run(path: str, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Hash range ``[lo, hi)`` of a sorted key-run sidecar. The file is
+    memmapped, so the search is a page-granular binary search and only the
+    range's pages are read; a zero-byte run is an empty partition."""
+    if not os.path.getsize(path):
+        return _NO_HASHES
+    run = np.memmap(path, dtype=np.uint64, mode="r")
+    return np.asarray(run[_span(run, lo, hi)])
+
+
+def _partials_run(path: str, lo: int = 0, hi: int | None = None) -> pa.Table:
+    """Conversations with ``h`` in ``[lo, hi)`` of a partials sidecar,
+    memory-mapped (the IPC file is uncompressed, so the table is zero-copy)."""
+    tbl = pa.ipc.open_file(pa.memory_map(path)).read_all()
+    s = _span(tbl["h"].to_numpy(), lo, hi)
+    return tbl.slice(s.start, s.stop - s.start)
+
+
+def _atomic_write(path: str, write) -> None:
+    tmp = path + ".tmp"
+    write(tmp)
+    os.replace(tmp, path)
+
+
+def write_sidecars(state: dict, sidecar_dir: str, pid: str, prev: tuple | None = None) -> tuple:
+    """Write partition ``pid``'s key state (:func:`prep_state`) as its two
+    sidecars; ``prev`` is the ``(key run, partials)`` pair of the partition's
+    already-validated prefix, merged in. Returns ``(key run path, partials
+    path, digest of the sorted keys)``.
+
+    The files are content-addressed: a delta revalidation writes NEW files,
+    so the prior record's sidecars stay intact until the new record is
+    durable (the driver prunes superseded ones only after the record write,
+    :func:`prune_sidecars`) — a crash anywhere leaves a consistent (record,
+    sidecars) pair to resume from."""
+    keys, convs = state["keys"], [state["conv"]]
+    if prev:
+        keys = np.concatenate([_key_run(prev[0]), keys])
+        convs.insert(0, _partials_run(prev[1]).to_pandas())
+    keys = np.sort(keys)
+    digest = hashlib.sha256(keys.tobytes()).hexdigest()
+    stem = os.path.join(sidecar_dir, f"{pid}-{digest[:12]}")
+    os.makedirs(sidecar_dir, exist_ok=True)
+    _atomic_write(stem + ".bin", keys.tofile)
+    partials = conv_partials_table(merge_conv_partials(convs))
+
+    def write_ipc(tmp: str) -> None:
+        with pa.ipc.new_file(tmp, PARTIALS_SCHEMA) as w:
+            w.write_table(partials)
+
+    _atomic_write(stem + "-conv.arrow", write_ipc)
+    return stem + ".bin", stem + "-conv.arrow", digest
+
+
+def prune_sidecars(sidecar_dir: str, pid: str, keep: set) -> None:
+    """Delete partition ``pid``'s sidecars other than ``keep``, including
+    earlier formats' (``-conv.parquet``) — call once the record naming
+    ``keep`` is durable."""
+    stem = os.path.join(sidecar_dir, pid + "-" + "[0-9a-f]" * 12)
+    for suffix in (".bin", "-conv.arrow", "-conv.parquet"):
+        for stale in glob.glob(stem + suffix):
+            if stale not in keep:
+                try:
+                    os.unlink(stale)
+                except OSError:
+                    pass
 
 
 def _exact_gaps(df: pd.DataFrame) -> pd.DataFrame:
@@ -143,25 +227,22 @@ def _exact_gaps(df: pd.DataFrame) -> pd.DataFrame:
 
 
 _PICK_SCHEMA = pa.schema([("conv_id", pa.string()), ("turn_idx", pa.int32())])
-_NO_HASHES = np.empty(0, np.uint64)
 
 
 @ray.remote
-def _verify_partition(part: tuple, dup_hashes: np.ndarray, convs: np.ndarray) -> pa.Table:
+def _verify_partition(part: tuple, dup_hashes: np.ndarray, convs: np.ndarray, conv_hashes: np.ndarray) -> pa.Table:
     """The ``(conv_id, turn_idx)`` rows of one partition whose key hash is in
-    ``dup_hashes`` or whose conversation is in ``convs`` (both sorted).
+    ``dup_hashes`` or whose conversation is in ``convs`` (all three sorted;
+    ``conv_hashes`` is ``hash_strings(convs)``).
 
-    ``part`` is the partition's ``(data file, hash blob, conv sidecar)``. The
-    sidecars decide whether any row can match — a memmapped binary search of
-    the sorted blob, a lookup of the sidecar's conversations — and the data
-    file's key columns are read only when one can."""
-    data_path, blob_path, conv_path = part
-    hit = len(dup_hashes) > 0 and os.path.getsize(blob_path) > 0 and bool(
-        _member_mask(np.memmap(blob_path, dtype=np.uint64, mode="r"), dup_hashes).any()
-    )
+    ``part`` is the partition's ``(data file, key run, partials)``. The
+    sidecars decide whether any row can match — binary searches of the
+    memmapped key run and of the candidate hashes for the partials' ``h`` —
+    and the data file's key columns are read only when one can."""
+    data_path, key_path, partials_path = part
+    hit = len(dup_hashes) > 0 and bool(_member_mask(_key_run(key_path), dup_hashes).any())
     if not hit and len(convs):
-        sidecar_convs = pq.read_table(conv_path, columns=["conv_id"])["conv_id"].to_numpy(zero_copy_only=False)
-        hit = bool(_member_mask(convs, sidecar_convs).any())
+        hit = bool(_member_mask(conv_hashes, _partials_run(partials_path)["h"].to_numpy()).any())
     if not hit:
         return _PICK_SCHEMA.empty_table()
     tbl = pq.read_table(data_path, columns=["conv_id", "turn_idx"])
@@ -175,50 +256,50 @@ def _verify_partition(part: tuple, dup_hashes: np.ndarray, convs: np.ndarray) ->
 def _scan_convs(parts: list, convs_sorted: np.ndarray, dup_hashes: np.ndarray = _NO_HASHES) -> pd.DataFrame:
     """Collect the ``(conv_id, turn_idx)`` rows of the given conversations
     (and of the given key hashes): one :func:`_verify_partition` task per
-    partition, so only partitions holding a candidate read their data."""
+    partition, so only partitions holding a candidate read their data. The
+    conversations are hashed once here, not once per partition."""
     convs_ref, dup_ref = ray.put(convs_sorted), ray.put(dup_hashes)
-    picked = ray.get([_verify_partition.remote(p, dup_ref, convs_ref) for p in parts])
+    conv_h_ref = ray.put(np.sort(hash_strings(convs_sorted)))
+    picked = ray.get([_verify_partition.remote(p, dup_ref, convs_ref, conv_h_ref) for p in parts])
     return pa.concat_tables([_PICK_SCHEMA.empty_table(), *picked]).to_pandas()
 
 
-@ray.remote
-def _range_dups(blob_paths: list, lo: int, hi: int | None) -> np.ndarray:
-    """Merge task for one hash range [lo, hi) — ``hi=None`` means to the end
-    of uint64 space (2**64 is not representable as uint64; casting it through
-    linspace silently became 0 and dropped the whole top range). Each blob is
-    memmapped, so the searchsorted is a page-granular binary search and the
-    task reads only its own hash range of every file."""
-    parts = []
-    for path in blob_paths:
-        arr = np.memmap(path, dtype=np.uint64, mode="r")
-        a = np.searchsorted(arr, np.uint64(lo))
-        b = len(arr) if hi is None else np.searchsorted(arr, np.uint64(hi))
-        parts.append(np.asarray(arr[a:b]))
-    return _dups_of(np.sort(np.concatenate(parts)))
-
-
-def _dups_of(merged: np.ndarray) -> np.ndarray:
-    """Distinct values occurring more than once in a sorted array."""
+def find_dup_hashes(key_runs: list, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Distinct key hashes in ``[lo, hi)`` occurring more than once across
+    the sorted key-run sidecars (one per partition). Only that range of each
+    file is read, so no run ever transits the driver whole (the 10^12-key
+    shape)."""
+    merged = np.sort(np.concatenate([_NO_HASHES, *(_key_run(p, lo, hi) for p in key_runs)]))
     return np.unique(merged[1:][merged[1:] == merged[:-1]])
 
 
-def find_dup_hashes(blobs: list, n_ranges: int = 1) -> np.ndarray:
-    """Duplicate hash candidates across sorted uint64 blob files (one per
-    partition; zero-byte blobs are empty partitions).
+def _gap_orphan_candidates(partials: list, lo: int, hi: int | None, member) -> tuple:
+    """(gap conversations, orphan conversations) with ``h`` in ``[lo, hi)``:
+    that range of every partials sidecar, merged exactly by ``conv_id``
+    (:func:`merge_conv_partials`) and flagged. ``member`` is the index
+    membership test (:func:`_membership_checker`)."""
+    summ = merge_conv_partials([_partials_run(p, lo, hi).to_pandas() for p in partials])
+    conv = summ["conv_id"].to_numpy(object)
+    gap = (summ["min_t"].to_numpy() != 0) | (summ["max_t"].to_numpy() != summ["n_distinct"].to_numpy() - 1)
+    return conv[gap], conv[~member(conv)]
 
-    ``n_ranges > 1`` runs the hash-range-partitioned merge as parallel Ray
-    tasks (the cluster-scale path); 1 sorts locally (fine up to ~10^8 keys
-    per node). Range tasks get the PATHS — each memmaps and reads only its
-    own hash range, so no blob ever transits the driver (the 10^12-key
-    shape)."""
-    paths = [b for b in blobs if os.path.getsize(b) > 0]
-    if not paths:
-        return _NO_HASHES
-    if n_ranges <= 1:
-        return _dups_of(np.sort(np.concatenate([np.fromfile(p, dtype=np.uint64) for p in paths])))
-    step = (1 << 64) // n_ranges  # exact python-int bounds; last range open-ended
-    bounds = [i * step for i in range(n_ranges)] + [None]
-    return np.concatenate(ray.get([_range_dups.remote(paths, bounds[i], bounds[i + 1]) for i in range(n_ranges)]))
+
+def _range_candidates(parts: list, lo: int, hi: int | None, member) -> tuple:
+    """One hash range's candidates — (dup key hashes, gap conversations,
+    orphan conversations) — from the partitions' sidecars."""
+    dups = find_dup_hashes([k for _, k, _ in parts], lo, hi)
+    return (dups, *_gap_orphan_candidates([p for _, _, p in parts], lo, hi, member))
+
+
+_range_task = ray.remote(_range_candidates)
+
+
+def _hash_ranges(n: int) -> list:
+    """``n`` ranges tiling uint64 space: exact python-int bounds, the last
+    one open-ended (``hi=None``)."""
+    step = (1 << 64) // n
+    bounds = [i * step for i in range(n)] + [None]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 #: above this many index ids the Bloom build shards: a monolithic partial
@@ -239,16 +320,14 @@ def build_bloom_index(index_path: str, fpp: float = 0.01):
     Reference analog: the published-set snapshot load
     (``/root/reference/models/message.py:112-126``), which materializes the
     whole id set in one process — the shape this replaces at 10^9 ids."""
-    import pyarrow.parquet as _pq
     import ray.data as _rd
 
     from ..functions.bloom import build_bloom_from_hashes
-    from ..functions.hashing import hash_strings as _hs
 
-    n_total = _pq.ParquetFile(index_path).metadata.num_rows
+    n_total = pq.ParquetFile(index_path).metadata.num_rows
 
     def to_hashes(tbl: pa.Table) -> pa.Table:
-        h = _hs(np.asarray(tbl["conv_id"].to_pandas(), dtype=object))
+        h = hash_strings(np.asarray(tbl["conv_id"].to_pandas(), dtype=object))
         return pa.table({"h": pa.array(h.astype(np.int64))})
 
     hashed = _rd.read_parquet(index_path, columns=["conv_id"]).map_batches(
@@ -257,104 +336,37 @@ def build_bloom_index(index_path: str, fpp: float = 0.01):
     return build_bloom_from_hashes(hashed, n_total, fpp, shard_threshold=_BLOOM_SHARD_IDS)
 
 
-def _membership_checker(known_conv_ids, cfg: ValidationConfig):
-    """Serializable membership closure for the orphan check: empty index →
-    check not applicable (never flags); pre-built BloomFilter/ShardedBloom
-    (the distributed-build paths, :func:`build_bloom_index`) → probe it; big
-    id list → Bloom built here; else sorted-array searchsorted."""
-    from ..functions.bloom import BloomFilter as _BF, ShardedBloom as _SB
+def _membership_checker(known_conv_ids):
+    """Serializable membership test for the orphan check: an empty index →
+    check not applicable (never flags); a pre-built BloomFilter/ShardedBloom
+    (the distributed build, :func:`build_bloom_index`, which the caller
+    picks for big indexes) → probe it; else a sorted-array searchsorted."""
+    from ..functions.bloom import BloomFilter, ShardedBloom
 
-    if isinstance(known_conv_ids, (_BF, _SB)):
-        bf = known_conv_ids
-        return lambda conv: bf.contains_strings(conv)
+    if isinstance(known_conv_ids, (BloomFilter, ShardedBloom)):
+        return known_conv_ids.contains_strings
     index_arr = np.asarray(list(known_conv_ids), dtype=object)
-    if len(index_arr) == 0:
+    if not len(index_arr):
         return lambda conv: np.ones(len(conv), dtype=bool)
-    if len(index_arr) > cfg.orphan_bloom_threshold:
-        from ..functions.bloom import BloomFilter
-
-        bf = BloomFilter.from_strings(index_arr)
-        return lambda conv: bf.contains_strings(conv)
-    srt = np.sort(index_arr)
-    return lambda conv: _member_mask(srt, conv)
+    return functools.partial(_member_mask, np.sort(index_arr))
 
 
-def _gap_orphan_candidates(summ, known_conv_ids, cfg: ValidationConfig):
-    """(gap_convs sorted, orphans) from per-conv partial stats.
-
-    ``summ`` is either a merged pandas DataFrame (driver path — fine when
-    partials fit one node) or a ``ray.data.Dataset`` of per-partition
-    partial rows (the 10^12-turn path): a distributed
-    ``groupby(conv_id)`` re-aggregation followed by a streaming flag filter,
-    so only the CANDIDATE conversations (the anomaly set) ever reach the
-    driver — conversation-count-sized state never does."""
-    member = _membership_checker(known_conv_ids, cfg)
-    if isinstance(summ, pd.DataFrame):
-        gap_flag = (summ["min_t"].to_numpy() != 0) | (
-            summ["max_t"].to_numpy() != summ["n_distinct"].to_numpy() - 1
-        )
-        conv_arr = summ["conv_id"].to_numpy(object)
-        orphan_flag = ~member(conv_arr)
-        return np.sort(conv_arr[gap_flag]), conv_arr[orphan_flag]
-
-    from ray.data.aggregate import Max as _Max
-    from ray.data.aggregate import Min as _Min
-    from ray.data.aggregate import Sum as _Sum
-
-    agg = summ.groupby("conv_id").aggregate(
-        _Sum("n_distinct", alias_name="n_distinct"),
-        _Min("min_t", alias_name="min_t"),
-        _Max("max_t", alias_name="max_t"),
-    )
-    member_ref = ray.put(member)
-
-    def flag(tbl: pa.Table) -> pa.Table:
-        mem = ray.get(member_ref)
-        conv = np.asarray(tbl["conv_id"].to_pandas(), dtype=object)
-        nd = tbl["n_distinct"].to_numpy(zero_copy_only=False).astype(np.int64)
-        mn = tbl["min_t"].to_numpy(zero_copy_only=False).astype(np.int64)
-        mx = tbl["max_t"].to_numpy(zero_copy_only=False).astype(np.int64)
-        gap = (mn != 0) | (mx != nd - 1)
-        orph = ~mem(conv)
-        keep = gap | orph
-        return pa.table(
-            {
-                "conv_id": pa.array(conv[keep], pa.string()),
-                "gap": pa.array(gap[keep]),
-                "orphan": pa.array(orph[keep]),
-            }
-        )
-
-    flagged = agg.map_batches(flag, batch_format="pyarrow").to_pandas()
-    if not len(flagged):
-        return np.empty(0, dtype=object), np.empty(0, dtype=object)
-    return (
-        np.sort(flagged.loc[flagged.gap, "conv_id"].to_numpy(object)),
-        flagged.loc[flagged.orphan, "conv_id"].to_numpy(object),
-    )
-
-
-def keyspace_from_states(
-    parts: list,
-    summ,
-    known_conv_ids,
-    cfg: ValidationConfig | None = None,
-) -> pa.Table:
+def keyspace_from_states(parts: list, known_conv_ids) -> pa.Table:
     """Key-space checks from phase 1's per-partition state. ``parts`` holds
-    one ``(data file, sorted hash blob, conv-partials sidecar)`` path triple
-    per partition, as :func:`prep_state` output is written by the partition
-    validator; ``summ`` is the partials merged by :func:`merge_conv_partials`
-    or, at scale, a Dataset of the raw partial rows (see
-    :func:`_gap_orphan_candidates`). The range-merge tasks read their hash
-    range straight from the blobs, so the driver never holds a blob, and only
+    one ``(data file, key run, partials)`` path triple per partition, the
+    sidecars as :func:`write_sidecars` wrote them; ``known_conv_ids`` is the
+    conversations index (ids, or a Bloom filter over them). Candidates come
+    hash range by hash range (:func:`_range_candidates`), and only
     partitions whose sidecars hold a candidate have their key columns read."""
-    cfg = cfg or ValidationConfig()
-    blobs = [blob for _, blob, _ in parts]
-    n_keys = sum(os.path.getsize(b) for b in blobs) // 8
-    n_ranges = 1 if n_keys < 20_000_000 else max(2, min(64, n_keys // 10_000_000))
-    dup_hashes = np.sort(find_dup_hashes(blobs, n_ranges))
-
-    gap_convs, orphans = _gap_orphan_candidates(summ, known_conv_ids, cfg)
+    member = _membership_checker(known_conv_ids)
+    n_keys = sum(os.path.getsize(k) for _, k, _ in parts) // 8
+    ranges = _hash_ranges(max(1, min(64, n_keys // _KEYS_PER_RANGE)))
+    if len(ranges) == 1:
+        found = [_range_candidates(parts, *ranges[0], member)]
+    else:
+        member_ref = ray.put(member)
+        found = ray.get([_range_task.remote(parts, lo, hi, member_ref) for lo, hi in ranges])
+    dup_hashes, gap_convs, orphans = (np.sort(np.concatenate(c)) for c in zip(*found))
 
     out_frames = []
     if len(orphans):

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
@@ -29,21 +26,39 @@ def ray_session():
     ray.shutdown()
 
 
-def write_keyspace_sidecars(files: list, out_dir: str):
+def write_keyspace_sidecars(files: list, out_dir: str) -> list:
     """Key-space sidecars of parquet ``files``, written with the calls
-    ``PartitionValidator._one`` makes; returns the ``(parts, summ)`` that
+    ``PartitionValidator._one`` makes; returns the ``parts`` that
     ``keyspace_from_states`` takes."""
-    from teleharvest_ray.stages.keyspace import conv_partials_table, merge_conv_partials, prep_state
+    from teleharvest_ray.stages.keyspace import prep_state, write_sidecars
 
-    parts, partials = [], []
+    parts = []
     for i, f in enumerate(files):
         st = prep_state(pq.read_table(f, columns=["conv_id", "turn_idx"]))
-        blob, conv = os.path.join(out_dir, f"{i}.bin"), os.path.join(out_dir, f"{i}-conv.parquet")
-        np.sort(np.frombuffer(st["blob"], dtype=np.uint64)).tofile(blob)
-        pq.write_table(conv_partials_table(st["conv"]), conv)
-        parts.append((f, blob, conv))
-        partials.append(st["conv"])
-    return parts, merge_conv_partials(partials)
+        parts.append((f, *write_sidecars(st, out_dir, f"p{i}")[:2]))
+    return parts
+
+
+def session_cpus_free(timeout_s: float = 10.0) -> bool:
+    """Whether every CPU of the Ray session is free within ``timeout_s``."""
+    import time
+
+    import ray
+
+    total = ray.cluster_resources()["CPU"]
+    deadline = time.monotonic() + timeout_s
+    while ray.available_resources().get("CPU", 0) < total:
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.1)
+    return True
+
+
+@pytest.fixture(scope="session")
+def cpus_free():
+    """:func:`session_cpus_free`, for tests that check a pipeline releases
+    its actor pool."""
+    return session_cpus_free
 
 
 @pytest.fixture(scope="session")

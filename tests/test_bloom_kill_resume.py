@@ -35,13 +35,12 @@ def test_keyspace_bloom_path_matches_manifest(ray_session, keyspace_sidecars, tm
     d = str(tmp_path / "bloomdata")
     generate(d, GenSpec(n_convs=120, n_files=4, seed=77))
     files = sorted(glob.glob(d + "/part-*.parquet"))
-    idx = pq.read_table(d + "/conversations.parquet")["conv_id"].to_pylist()
-    from teleharvest_ray.stages.keyspace import keyspace_from_states
+    from teleharvest_ray.stages.keyspace import build_bloom_index, keyspace_from_states
 
-    # force the Bloom path with a tiny threshold
-    cfg = ValidationConfig(orphan_bloom_threshold=1)
-    parts, summ = keyspace_sidecars(files, str(tmp_path))
-    vio = keyspace_from_states(parts, summ, idx, cfg).to_pandas()
+    # the Bloom membership path, as run_validation takes it above
+    # orphan_bloom_threshold
+    parts = keyspace_sidecars(files, str(tmp_path))
+    vio = keyspace_from_states(parts, build_bloom_index(d + "/conversations.parquet")).to_pandas()
     exp = pq.read_table(d + "/expected_violations.parquet").to_pandas()
     exp = exp[exp.check_id.isin({"dup_key", "seq_gap", "orphan_conv"})]
     got = set(map(tuple, vio[["conv_id", "turn_idx", "check_id"]].drop_duplicates().itertuples(index=False)))

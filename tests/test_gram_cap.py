@@ -66,7 +66,8 @@ def test_gram_cap_bounds_pairs_and_matches_sql(ray_session, cap, tmp_path):
 
 
 def test_gram_cap_default_is_production_value():
-    """The oracle SQL hard-codes rn <= 2000; pin the engine constant to it."""
+    """The engine and the oracle SQL both read GRAM_CAP; pin its production
+    value."""
     from teleharvest_ray.stages import dedup as dd
 
     assert dd.GRAM_CAP == 2000

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import os
 
+import pandas as pd
 import pyarrow.parquet as pq
 import pytest
-
-import ray.data as rd
 
 from teleharvest_ray.config import ValidationConfig
 from teleharvest_ray.sources.datagen import GenSpec, generate
@@ -28,8 +27,8 @@ def test_keyspace_matches_manifest(ray_session, keyspace_sidecars, dataset, tmp_
 
     files = sorted(glob.glob(dataset + "/part-*.parquet"))
     idx = pq.read_table(dataset + "/conversations.parquet")["conv_id"].to_pylist()
-    parts, summ = keyspace_sidecars(files, str(tmp_path))
-    vio = keyspace_from_states(parts, summ, idx, ValidationConfig()).to_pandas()
+    parts = keyspace_sidecars(files, str(tmp_path))
+    vio = keyspace_from_states(parts, idx).to_pandas()
 
     exp = pq.read_table(dataset + "/expected_violations.parquet").to_pandas()
     exp = exp[exp.check_id.isin(KS_IDS)]
@@ -61,8 +60,8 @@ def test_dup_across_batches_cannot_mask_gap(ray_session, keyspace_sidecars, tmp_
 
     write("part-00000.parquet", [("cA", 0), ("cA", 1), ("cA", 3), ("cB", 0), ("cB", 1)])
     write("part-00001.parquet", [("cA", 1), ("cC", 0)])  # cross-file dup of (cA,1)
-    parts, summ = keyspace_sidecars([str(d / "part-00000.parquet"), str(d / "part-00001.parquet")], str(tmp_path))
-    vio = keyspace_from_states(parts, summ, ["cA", "cB", "cC"], ValidationConfig()).to_pandas()
+    parts = keyspace_sidecars([str(d / "part-00000.parquet"), str(d / "part-00001.parquet")], str(tmp_path))
+    vio = keyspace_from_states(parts, ["cA", "cB", "cC"]).to_pandas()
     got = set(map(tuple, vio[["conv_id", "turn_idx", "check_id"]].itertuples(index=False)))
     assert ("cA", 1, "dup_key") in got
     assert ("cA", 2, "seq_gap") in got  # the masked gap
@@ -74,27 +73,26 @@ def test_range_partitioned_dup_merge_covers_top_range(ray_session, tmp_path):
     (a 2**64 bound cast through uint64 silently became 0)."""
     import numpy as np
 
-    from teleharvest_ray.stages.keyspace import find_dup_hashes
+    from teleharvest_ray.stages.keyspace import _hash_ranges, find_dup_hashes
 
     top = np.uint64((1 << 64) - 100)
     low = np.uint64(12345)
     pa_, pb = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
     np.sort(np.array([low, top, np.uint64(7)], dtype=np.uint64)).tofile(pa_)
     np.sort(np.array([low, top], dtype=np.uint64)).tofile(pb)
-    dups_local = find_dup_hashes([pa_, pb], n_ranges=1)
-    dups_ranged = find_dup_hashes([pa_, pb], n_ranges=4)
-    assert set(dups_local.tolist()) == {int(low), int(top)}
-    assert set(np.sort(dups_ranged).tolist()) == {int(low), int(top)}
+    dups_whole = find_dup_hashes([pa_, pb])
+    dups_ranged = np.concatenate([find_dup_hashes([pa_, pb], lo, hi) for lo, hi in _hash_ranges(4)])
+    assert set(dups_whole.tolist()) == {int(low), int(top)}
+    assert sorted(dups_ranged.tolist()) == sorted({int(low), int(top)})
 
 
 def test_find_dup_hashes_from_sidecar_paths(ray_session, tmp_path):
-    """Sorted uint64 sidecar files must yield the exact dup set on both the
-    local and the range-task path — the at-scale shape where no blob
-    transits the driver — and a zero-byte blob (an empty partition) adds
-    nothing."""
+    """Sorted uint64 sidecar files must yield the exact dup set read whole
+    and read range by range — the at-scale shape where no key run transits
+    the driver — and a zero-byte run (an empty partition) adds nothing."""
     import numpy as np
 
-    from teleharvest_ray.stages.keyspace import find_dup_hashes
+    from teleharvest_ray.stages.keyspace import _hash_ranges, find_dup_hashes
 
     rng = np.random.default_rng(3)
     a = rng.integers(0, 1 << 63, 50_000, dtype=np.uint64)
@@ -107,9 +105,10 @@ def test_find_dup_hashes_from_sidecar_paths(ray_session, tmp_path):
     open(pe, "wb").close()
     vals, counts = np.unique(np.concatenate([a, b]), return_counts=True)
     want = set(vals[counts > 1].tolist())
-    got_local = set(find_dup_hashes([pa_, pe, pb], n_ranges=1).tolist())
-    got_ranged = set(find_dup_hashes([pa_, pe, pb], n_ranges=8).tolist())
-    assert want and got_local == want and got_ranged == want
+    got_whole = set(find_dup_hashes([pa_, pe, pb]).tolist())
+    got_ranged = [find_dup_hashes([pa_, pe, pb], lo, hi) for lo, hi in _hash_ranges(8)]
+    assert want and got_whole == want
+    assert sum(map(len, got_ranged)) == len(want) and set(np.concatenate(got_ranged).tolist()) == want
 
 
 def test_validator_writes_sidecar_blobs(ray_session, tmp_path):
@@ -135,41 +134,96 @@ def test_validator_writes_sidecar_blobs(ray_session, tmp_path):
         assert (arr[:-1] <= arr[1:]).all()
 
 
-def test_gap_orphan_candidates_dataset_matches_dataframe(ray_session):
-    """The distributed (Dataset) conv-partials path must produce the same
-    gap/orphan candidate sets as the driver (DataFrame) path, for both the
-    sorted-array and the forced-Bloom membership modes."""
+def test_gap_orphan_candidates_by_range_match_whole(tmp_path):
+    """Gap/orphan candidates read range by range from partials sidecars equal
+    the candidates read whole and a brute-force answer, with conversations
+    split across partitions, for both the sorted-array and the Bloom
+    membership test."""
     import numpy as np
     import pandas as pd
 
-    from teleharvest_ray.stages.keyspace import _gap_orphan_candidates
+    from teleharvest_ray.functions.bloom import BloomFilter
+    from teleharvest_ray.stages.keyspace import (
+        _gap_orphan_candidates,
+        _hash_ranges,
+        _membership_checker,
+        write_sidecars,
+    )
 
     rng = np.random.default_rng(17)
     convs = [f"conv-{i:05d}" for i in range(300)]
-    # per-partition partial rows: some convs split across 2 "partitions"
-    rows = []
+    # per-partition partial rows: gaps planted in every 13th conv (min_t
+    # starts at 1), every 7th conv split across the two partitions
+    rows = ([], [])
     for i, c in enumerate(convs):
         n = int(rng.integers(3, 9))
-        # plant gaps in every 13th conv (min_t starts at 1) and split
-        # every 7th conv across two partial rows
         start = 1 if i % 13 == 0 else 0
         if i % 7 == 0:
             h = n // 2
-            rows.append((c, h, start, start + h - 1, h))
-            rows.append((c, n - h, start + h, start + n - 1, n - h))
+            rows[0].append((c, h, start, start + h - 1, h))
+            rows[1].append((c, n - h, start + h, start + n - 1, n - h))
         else:
-            rows.append((c, n, start, start + n - 1, n))
-    pdf = pd.DataFrame(rows, columns=["conv_id", "n_distinct", "min_t", "max_t", "n_rows"])
+            rows[i % 2].append((c, n, start, start + n - 1, n))
+    cols = ["conv_id", "n_distinct", "min_t", "max_t", "n_rows"]
+    partials = [
+        write_sidecars({"keys": np.empty(0, np.uint64), "conv": pd.DataFrame(r, columns=cols)}, str(tmp_path), f"p{i}")[1]
+        for i, r in enumerate(rows)
+    ]
     known = convs[:250]  # last 50 are orphans
-    merged = pdf.groupby("conv_id", sort=False).agg(
-        n_distinct=("n_distinct", "sum"), min_t=("min_t", "min"),
-        max_t=("max_t", "max"), n_rows=("n_rows", "sum"),
-    ).reset_index()
-    for cfg in (ValidationConfig(), ValidationConfig(orphan_bloom_threshold=1)):
-        g_df, o_df = _gap_orphan_candidates(merged, known, cfg)
-        g_ds, o_ds = _gap_orphan_candidates(rd.from_pandas(pdf), known, cfg)
-        assert set(g_df) == set(g_ds) and len(g_df) > 0
-        assert set(o_df) == set(o_ds) and len(o_df) == 50
+    want_gaps = {c for i, c in enumerate(convs) if i % 13 == 0}
+    for member in (_membership_checker(known), _membership_checker(BloomFilter.from_strings(np.array(known, object)))):
+        gaps, orphans = _gap_orphan_candidates(partials, 0, None, member)
+        assert set(gaps) == want_gaps and len(gaps) == len(want_gaps)
+        assert set(orphans) == set(convs[250:]) and len(orphans) == 50
+        ranged = [_gap_orphan_candidates(partials, lo, hi, member) for lo, hi in _hash_ranges(5)]
+        assert sorted(np.concatenate([g for g, _ in ranged])) == sorted(gaps)
+        assert sorted(np.concatenate([o for _, o in ranged])) == sorted(orphans)
+
+
+def test_several_hash_ranges_match_one(ray_session, tmp_path, monkeypatch):
+    """Phase 2 over several hash ranges (Ray tasks) gives the one-range
+    (driver) result and the planted manifest, on a corpus with cross-partition
+    dups, a gap masked by a dup, orphans and a zero-row partition."""
+    import pyarrow as pa
+
+    from teleharvest_ray.pipelines.validate import read_violations, run_validation
+    from teleharvest_ray.stages import keyspace
+
+    d = str(tmp_path / "data")
+    generate(d, GenSpec(n_convs=120, n_files=6, seed=5, hot_conv=True))
+    first = pq.read_table(os.path.join(d, "part-00000.parquet"))
+
+    def write(name, turns):
+        tbl = first.take([0] * len(turns))
+        for col, vals in (("conv_id", ["masked"] * len(turns)), ("turn_idx", turns)):
+            i = tbl.schema.get_field_index(col)
+            tbl = tbl.set_column(i, col, pa.array(vals, tbl.schema.field(col).type))
+        pq.write_table(tbl, os.path.join(d, name))
+
+    # turns {0, 1, 3} plus a cross-file copy of turn 1: the summed distinct
+    # count equals max + 1, so only the dup re-check finds the gap at 2
+    write("part-00097.parquet", [0, 1, 3])
+    write("part-00098.parquet", [1])
+    pq.write_table(first.slice(0, 0), os.path.join(d, "part-00099.parquet"))
+
+    def run(name):
+        s = run_validation(d, str(tmp_path / name), ValidationConfig(), write_annotated=False)
+        vio = read_violations(str(tmp_path / name))
+        return s, vio.sort_values(list(vio.columns), ignore_index=True)
+
+    s_one, one = run("one")
+    monkeypatch.setattr(keyspace, "_KEYS_PER_RANGE", 500)
+    assert s_one["rows_scanned"] // 500 >= 4  # several ranges
+    s_many, many = run("many")
+    pd.testing.assert_frame_equal(one, many)
+    assert {k: v for k, v in s_one.items() if k != "out_dir"} == {k: v for k, v in s_many.items() if k != "out_dir"}
+
+    added = many.conv_id.isin(["masked", "partition:part-00097", "partition:part-00098"])
+    exp = pq.read_table(d + "/expected_violations.parquet").to_pandas()
+    as_set = lambda df: set(map(tuple, df[["conv_id", "turn_idx", "check_id"]].drop_duplicates().itertuples(index=False)))
+    assert as_set(many[~added]) == as_set(exp)
+    ks_rows = many[added & many.check_id.isin(KS_IDS)]
+    assert as_set(ks_rows) == {("masked", 1, "dup_key"), ("masked", 2, "seq_gap"), ("masked", -1, "orphan_conv")}
 
 
 def test_lineage_records_stay_small(ray_session, tmp_path):
@@ -199,7 +253,7 @@ def test_phase2_reads_only_candidate_partitions(ray_session, keyspace_sidecars, 
 
     import numpy as np
 
-    from teleharvest_ray.stages.keyspace import _gap_orphan_candidates, find_dup_hashes
+    from teleharvest_ray.stages.keyspace import _membership_checker, _partials_run, _range_candidates
 
     def corpus(name, spec):
         d = str(tmp_path / name)
@@ -207,29 +261,28 @@ def test_phase2_reads_only_candidate_partitions(ray_session, keyspace_sidecars, 
         os.makedirs(d + "/state")
         files = sorted(glob.glob(d + "/part-*.parquet"))
         idx = pq.read_table(d + "/conversations.parquet")["conv_id"].to_pylist()
-        return (*keyspace_sidecars(files, d + "/state"), idx)
+        return keyspace_sidecars(files, d + "/state"), idx
 
     def garble(path):
         with open(path, "wb") as fh:
             fh.write(b"not a parquet file" * 64)
 
-    parts, summ, idx = corpus("clean", GenSpec(n_convs=80, n_files=4, seed=3, plant=False))
+    parts, idx = corpus("clean", GenSpec(n_convs=80, n_files=4, seed=3, plant=False))
     for f, _, _ in parts:
         garble(f)
-    assert keyspace_from_states(parts, summ, idx).num_rows == 0
+    assert keyspace_from_states(parts, idx).num_rows == 0
 
-    parts, summ, idx = corpus("dirty", GenSpec(n_convs=150, n_files=12, seed=23))
-    want = keyspace_from_states(parts, summ, idx).to_pylist()
-    dup_hashes = find_dup_hashes([b for _, b, _ in parts])
-    gap_convs, _ = _gap_orphan_candidates(summ, idx, ValidationConfig())
+    parts, idx = corpus("dirty", GenSpec(n_convs=150, n_files=12, seed=23))
+    want = keyspace_from_states(parts, idx).to_pylist()
+    dup_hashes, gap_convs, _ = _range_candidates(parts, 0, None, _membership_checker(idx))
     free = [
         f
-        for f, b, c in parts
-        if not np.isin(dup_hashes, np.fromfile(b, dtype=np.uint64)).any()
-        and not pq.read_table(c)["conv_id"].to_pandas().isin(gap_convs).any()
+        for f, k, p in parts
+        if not np.isin(dup_hashes, np.fromfile(k, dtype=np.uint64)).any()
+        and not _partials_run(p)["conv_id"].to_pandas().isin(gap_convs).any()
     ]
     assert want and free
     for f in free:
         garble(f)
     key = lambda r: (r["conv_id"], r["turn_idx"], r["check_id"])
-    assert sorted(keyspace_from_states(parts, summ, idx).to_pylist(), key=key) == sorted(want, key=key)
+    assert sorted(keyspace_from_states(parts, idx).to_pylist(), key=key) == sorted(want, key=key)

@@ -120,7 +120,8 @@ def _keyspace_case(draw):
         convs[f"c{i}"] = turns
     known = draw(st.lists(st.sampled_from(sorted(convs)), unique=True))
     n_blocks = draw(st.integers(1, 3))
-    return convs, known, n_blocks
+    n_ranges = draw(st.integers(1, 4))
+    return convs, known, n_blocks, n_ranges
 
 
 @given(case=_keyspace_case())
@@ -128,17 +129,20 @@ def _keyspace_case(draw):
 def test_keyspace_matches_bruteforce_oracle(ray_session, keyspace_sidecars, case):
     """The candidates-then-verify keyspace engine must equal a brute-force
     oracle for ANY turn multiset split across ANY number of partitions, empty
-    ones included (this is the property the masked-gap bug violated)."""
+    ones included (this is the property the masked-gap bug violated), merged
+    in one hash range or in several."""
     import tempfile
+    from unittest import mock
 
     import pyarrow.parquet as pq
 
-    convs, known, n_blocks = case
+    from teleharvest_ray.stages import keyspace
+
+    convs, known, n_blocks, n_ranges = case
     rows = [(c, t) for c, ts in convs.items() for t in ts]
     df = pd.DataFrame(rows, columns=["conv_id", "turn_idx"])
     df["turn_idx"] = df["turn_idx"].astype("int32")
 
-    from teleharvest_ray.config import ValidationConfig
     from teleharvest_ray.stages.keyspace import keyspace_from_states
 
     with tempfile.TemporaryDirectory() as d:
@@ -146,8 +150,11 @@ def test_keyspace_matches_bruteforce_oracle(ray_session, keyspace_sidecars, case
         for i, block in enumerate(np.array_split(np.arange(len(df)), n_blocks)):
             files.append(f"{d}/part-{i:05d}.parquet")
             pq.write_table(pa.Table.from_pandas(df.iloc[block], preserve_index=False), files[-1])
-        parts, summ = keyspace_sidecars(files, d)
-        got = keyspace_from_states(parts, summ, known, ValidationConfig()).to_pandas()
+        parts = keyspace_sidecars(files, d)
+        # a keys-per-range count that splits these keys into about n_ranges
+        # hash ranges (1 keeps the driver-side single range)
+        with mock.patch.object(keyspace, "_KEYS_PER_RANGE", len(rows) // n_ranges or 1):
+            got = keyspace_from_states(parts, known).to_pandas()
     got_set = set(map(tuple, got[["conv_id", "turn_idx", "check_id"]].itertuples(index=False)))
 
     want = set()

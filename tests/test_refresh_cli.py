@@ -104,6 +104,31 @@ def test_disabled_checks(validated, ray_session, tmp_path):
     assert {"text_missing", "seq_gap"} <= set(vio.check_id)
 
 
+def test_refreshes_release_session_cpus(ray_session, cpus_free, tmp_path):
+    """Every session CPU is free again soon after each refresh returns: the
+    refresh releases its actor pool itself rather than leaving it to a later
+    gc pass. The automatic collector is off during the calls so it cannot
+    free the pool by chance."""
+    import gc
+
+    import ray
+
+    d, out = str(tmp_path / "data"), str(tmp_path / "out")
+    generate(d, GenSpec(n_convs=40, n_files=3, seed=8, plant=False))
+    run_validation(d, out, ValidationConfig())
+    prof = build_profile(pq.read_table(sorted(glob.glob(d + "/part-*.parquet"))[0], columns=["text", "role", "tool"]))
+    gc.collect()  # pools other tests left to the garbage collector
+    assert cpus_free(), ray.available_resources()
+    gc.disable()
+    try:
+        refresh_metrics(d, out, ValidationConfig())
+        assert cpus_free(), ray.available_resources()
+        refresh_similarity(out, prof)
+        assert cpus_free(), ray.available_resources()
+    finally:
+        gc.enable()
+
+
 def test_cli_gen_and_validate(tmp_path):
     d, o = str(tmp_path / "cli_data"), str(tmp_path / "cli_out")
     env = dict(os.environ, RAY_ADDRESS="local")

@@ -227,36 +227,54 @@ def test_replaced_partition_full_rescans(ray_session, tmp_path):
     assert _vio_set(read_violations(out)) == _vio_set(read_violations(ctl))
 
 
-def test_run_releases_session_cpus(ray_session, tmp_path):
+def test_run_releases_session_cpus(ray_session, cpus_free, tmp_path):
     """Every session CPU is free again soon after run_validation returns: the
     phase-1 actor pool is released by the run itself, not left to a later gc
     pass. The automatic collector is off during the run so it cannot free the
     pool by chance; the corpus is clean so phase 2 submits no task that an
     unreleased pool would block forever."""
     import gc
-    import time
 
     import ray
-
-    def all_free() -> bool:
-        total = ray.cluster_resources()["CPU"]
-        deadline = time.monotonic() + 10
-        while ray.available_resources().get("CPU", 0) < total:
-            if time.monotonic() > deadline:
-                return False
-            time.sleep(0.1)
-        return True
 
     d = str(tmp_path / "clean")
     generate(d, GenSpec(n_convs=40, n_files=4, seed=8, plant=False))
     gc.collect()  # pools other tests left to the garbage collector
-    assert all_free(), ray.available_resources()
+    assert cpus_free(), ray.available_resources()
     gc.disable()
     try:
         run_validation(d, str(tmp_path / "out"), ValidationConfig(), write_annotated=False)
-        assert all_free(), ray.available_resources()
+        assert cpus_free(), ray.available_resources()
     finally:
         gc.enable()
+
+
+def test_index_change_recomputes_global_checks(ray_session, tmp_path):
+    """The conversations index decides the orphans, so a resume after the
+    index alone changed recomputes the global checks: with the orphan ids
+    added to the index and no partition touched, the result equals a fresh
+    run's."""
+    import pyarrow as pa
+
+    d = str(tmp_path / "idx")
+    generate(d, GenSpec(n_files=4, seed=3))
+    out = str(tmp_path / "idx_out")
+    run_validation(d, out, ValidationConfig(), write_annotated=False)
+    vio = read_violations(out)
+    orphans = sorted(set(vio.loc[vio.check_id == "orphan_conv", "conv_id"]))
+    assert orphans
+    index_path = os.path.join(d, "conversations.parquet")
+    index = pq.read_table(index_path)
+    added = pa.table({"conv_id": orphans, "n_turns": [1] * len(orphans)}, schema=index.schema)
+    pq.write_table(pa.concat_tables([index, added]), index_path)
+    s = run_validation(d, out, ValidationConfig(), write_annotated=False)
+    assert s["n_validated_now"] == 0
+    ctl = str(tmp_path / "idx_ctl")
+    fresh = run_validation(d, ctl, ValidationConfig(), write_annotated=False)
+    assert s["violations_global"] == fresh["violations_global"]
+    got = read_violations(out)
+    assert _vio_set(got) == _vio_set(read_violations(ctl))
+    assert not (got.check_id == "orphan_conv").any()
 
 
 def test_incremental_two_successive_appends(ray_session, tmp_path):
