@@ -40,8 +40,9 @@ class ValidationConfig:
     scorer: str = "builtin"
 
     # --- target-only knobs (north_rule) ---
-    # Above this index size the orphan check swaps the sorted-array broadcast
-    # for a Bloom filter (one-sided error: never falsely flags an orphan).
+    # Above this index size the orphan check swaps the index's Arrow id column
+    # (an is_in probe) for a Bloom filter (one-sided error: never falsely
+    # flags an orphan).
     orphan_bloom_threshold: int = 5_000_000
     # Drift thresholds on the *statistics* (not p-values; scipy-free).
     drift_chi2_threshold: float = 0.2  # normalized chi-square / n

@@ -5816,17 +5816,22 @@ def q_snapshot_diff(sf_dir: str) -> pd.DataFrame:
         n2 = np.r_[kn, an]
         return pa.table({"doc_id": pa.array(d2), "fp2": pa.array(content_hash(d2, n2))})
 
+    def classify(j: pd.DataFrame) -> pd.DataFrame:
+        fp1 = j["fp1"].fillna(-1).to_numpy("int64")
+        fp2 = j["fp2"].fillna(-1).to_numpy("int64")
+        status = np.where(
+            fp2 < 0, "removed", np.where(fp1 < 0, "added", np.where(fp1 != fp2, "changed", ""))
+        )
+        keep = status != ""
+        return pd.DataFrame(
+            {"doc_id": j["doc_id"].to_numpy("int64")[keep], "status": status[keep].astype(object)}
+        )
+
     v1 = ds.map_batches(v1_hash, batch_format="pyarrow")
     v2 = ds.map_batches(v2_hash, batch_format="pyarrow")
-    j = jn.bucketed_hash_join(v1, v2, on="doc_id", how="outer").to_pandas()
-    fp1 = j["fp1"].fillna(-1).astype("int64")
-    fp2 = j["fp2"].fillna(-1).astype("int64")
-    status = np.where(
-        fp2 < 0, "removed", np.where(fp1 < 0, "added", np.where(fp1 != fp2, "changed", ""))
-    )
-    out = pd.DataFrame({"doc_id": j["doc_id"].astype("int64"), "status": status})
-    out = out[out["status"] != ""]
-    out["status"] = out["status"].astype(object)
+    j = jn.bucketed_hash_join(v1, v2, on="doc_id", how="outer")
+    # only the diff reaches the driver; "unchanged" rows drop in the workers
+    out = j.map_batches(classify, batch_format="pandas").to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 

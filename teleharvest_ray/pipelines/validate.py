@@ -17,9 +17,11 @@ Ray Data:
   sorted key-run and conversation-partial sidecars phase 1 wrote per
   partition, merged hash range by hash range; a partition's data file is
   read again only when its sidecars hold a candidate
-  (``stages/keyspace.py``, which alone knows the sidecar formats). Recorded
-  under the ``_global`` checkpoint key, recomputed only when the validated
-  partition set or the conversations index changed.
+  (``stages/keyspace.py``, which alone knows the sidecar formats). While the
+  key space is one hash range (up to ``keyspace._KEYS_PER_RANGE`` keys), the
+  whole phase runs on the driver with no Ray task; above that it runs as Ray
+  tasks. Recorded under the ``_global`` checkpoint key, recomputed only when
+  the validated partition set or the conversations index changed.
 
 Partition = input file: at 100 TB the input is O(100k) files of 0.25–1 GB, so
 file granularity gives both enough parallelism for a 256-node cluster and
@@ -487,7 +489,7 @@ def run_validation(
             # driver holds only the final filter bits, never the id list
             known = build_bloom_index(conv_index_path)
         else:
-            known = pq.read_table(conv_index_path)["conv_id"].to_pylist()
+            known = pq.read_table(conv_index_path, columns=["conv_id"])["conv_id"]
         # the sidecar paths and the index are all phase 2 needs: keyspace
         # merges the sidecars hash range by hash range, so the driver sees
         # only candidates

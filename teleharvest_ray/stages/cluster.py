@@ -967,7 +967,7 @@ def triangles(
     fan-out is bounded by its LOW-rank out-degree, the standard hot-node
     defense — wedges generate per-src bucket with a segmented vectorized
     pair walk, and close with ONE bucketed hash join against the oriented
-    edge set on a packed (b, c) key (node ids must fit 31 bits; asserted).
+    edge set on a packed (b, c) key (node ids must be in [0, 2**31); checked).
     Each triangle is produced exactly once (its two lowest-rank corners
     form the wedge), so per-node counts are bincount partials + one
     groupby-sum."""
@@ -1034,8 +1034,8 @@ def _triangle_rounds(
         src = np.where(lo_first, lo, hi)
         dst = np.where(lo_first, hi, lo)
         ddeg = np.where(lo_first, dh, dl)
-        if len(src) and (src.max() >= 2**31 or dst.max() >= 2**31):
-            raise ValueError("triangle packing needs node ids < 2**31")
+        if len(src) and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= 2**31):
+            raise ValueError("triangle packing needs node ids in [0, 2**31)")
         return pd.DataFrame(
             {
                 "src": src,

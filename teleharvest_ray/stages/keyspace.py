@@ -20,7 +20,12 @@ collide) and an uncompressed Arrow IPC file of per-conversation partial
 sequence stats, SORTED by ``h = hash_strings(conv_id)``. Both are sorted
 runs, so a reader memory-maps a file and slices any hash range ``[lo, hi)``
 of it with a binary search (:func:`_key_run`, :func:`_partials_run`).
-Phase 2 (:func:`keyspace_from_states`) works from those sidecars:
+Phase 2 (:func:`keyspace_from_states`) works from those sidecars. Its only
+size rule is the hash-range count, at most :data:`_KEYS_PER_RANGE` keys per
+range (at most 64 ranges), and that count decides where all of phase 2 runs:
+one range runs wholly on the driver, in-process, with no Ray task and no
+object-store put; more run wholly as Ray tasks (below the measured
+crossover, task start-up costs more than a driver pass).
 
 1. Candidates, one hash range at a time (:func:`_range_candidates`): the
    range of every key run merges into its duplicate hashes
@@ -29,13 +34,12 @@ Phase 2 (:func:`keyspace_from_states`) works from those sidecars:
    a gap candidate unless ``min == 0 and max == n_distinct - 1``, and an
    orphan when the index lacks it (:func:`_gap_orphan_candidates`).
    Duplicate keys across partitions can overcount ``n_distinct`` → false
-   *candidates*, never false violations (step 2 verifies). The only size rule
-   is the range count, one per :data:`_KEYS_PER_RANGE` keys (at most 64): one
-   range runs on the driver, more run as Ray tasks, each reading only its own
-   range of every file.
-2. Verification is file by file (:func:`_verify_partition`): a partition's
-   key run is binary-searched for the dup candidates and its partials looked
-   up for the candidate conversations, and only on a hit is the data file's
+   *candidates*, never false violations (step 2 verifies). Each range reads
+   only its own slice of every file.
+2. Verification is file by file (:func:`_verify_partition`, called in-process
+   for one range and as one task per partition for more): a partition's key
+   run is binary-searched for the dup candidates and its partials looked up
+   for the candidate conversations, and only on a hit is the data file's
    ``(conv_id, turn_idx)`` read. A clean corpus reads no data file. Exact dup
    counts and first-missing indices are computed driver-side from the picked
    rows — the anomaly set, orders of magnitude smaller than the data.
@@ -54,20 +58,40 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
 
 from ..functions.arrays import member_mask
-from ..functions.hashing import hash_key, hash_strings
+from ..functions.hashing import combine, hash_key, hash_strings
 
 VIOLATION_COLS = ["conv_id", "turn_idx", "check_id", "detail"]
 _member_mask = member_mask
 _NO_HASHES = np.empty(0, np.uint64)
 
-#: phase 2's one size rule: a hash range per this many keys (at most 64).
-#: Below twice this, one range runs on the driver.
-_KEYS_PER_RANGE = 10_000_000
+#: phase 2's one size rule: a hash range holds at most this many keys (at
+#: most 64 ranges). Up to this many keys there is one range and all of phase 2
+#: runs on the driver; above it, all of it runs as Ray tasks. Set from the
+#: measured crossover: cold phase 2 (``keyspace_from_states``) on 16-file
+#: datagen corpora, each run in a fresh Ray session on a 4-CPU box, median of
+#: 3, driver (one range) / tasks (one range per session CPU), seconds, and
+#: the driver's peak RSS in the one-range run:
+#:
+#:   keys   keys/conv   2 CPUs       4 CPUs       driver RSS
+#:   1.1M   ~21         0.48 / 1.20  0.47 / 1.25   219 MB
+#:   2.2M   ~21         0.97 / 1.53  0.84 / 1.48   248 MB
+#:   4.4M   ~21         1.76 / 2.13  1.80 / 1.61   301 MB
+#:   1.0M   1           1.31 / 1.51  1.26 / 1.29   553 MB
+#:   2.0M   1           2.54 / 2.89  2.70 / 1.85   841 MB
+#:   4.0M   1           6.16 / 4.54  5.83 / 3.29  1374 MB
+#:
+#: Task start-up is most of the gap: a warm second task round beat the
+#: driver at every size, but a run has one phase 2. The crossover is ~4M keys
+#: for multi-turn conversations and 1-2.5M when every conversation has one
+#: turn (a partials row per key); 2M keeps the driver within ~1 s of the
+#: tasks for both shapes.
+_KEYS_PER_RANGE = 2_000_000
 
 
 def prep_state(tbl: pa.Table) -> dict:
@@ -206,30 +230,34 @@ def prune_sidecars(sidecar_dir: str, pid: str, keep: set) -> None:
 def _exact_gaps(df: pd.DataFrame) -> pd.DataFrame:
     """Exact first-missing-index per conversation over (conv_id, turn_idx)
     rows; conversations that turn out gap-free emit nothing. Works on the
-    sorted-unique turn array only — never allocates a dense 0..max range, so
-    a corrupt huge turn_idx costs nothing extra."""
-    rows = []
-    for conv, g in df.groupby("conv_id"):
-        u = np.unique(g["turn_idx"].to_numpy())
-        if not len(u):
-            continue
-        if u[0] < 0:  # corrupt index: not a 0..n sequence by definition
-            rows.append((conv, int(u[0]), "seq_gap", "negative turn_idx"))
-            continue
-        n_missing = int(u[-1]) + 1 - len(u)
-        if n_missing:
-            # first position where the sorted-unique sequence departs from
-            # 0,1,2,... IS the first missing index
-            mism = np.flatnonzero(u != np.arange(len(u)))
-            first = int(mism[0]) if len(mism) else len(u)
-            rows.append((conv, first, "seq_gap", f"missing={n_missing}"))
-    return pd.DataFrame(rows, columns=VIOLATION_COLS)
+    sorted-unique turns only — never allocates a dense 0..max range, so a
+    corrupt huge turn_idx costs nothing extra."""
+    u = df.drop_duplicates(["conv_id", "turn_idx"]).sort_values(["conv_id", "turn_idx"], ignore_index=True)
+    if not len(u):
+        return pd.DataFrame(columns=VIOLATION_COLS)
+    conv, turn = u["conv_id"].to_numpy(object), u["turn_idx"].to_numpy(np.int64)
+    starts = np.flatnonzero(np.r_[True, conv[1:] != conv[:-1]])
+    size = np.diff(np.r_[starts, len(u)])
+    pos = np.arange(len(u)) - np.repeat(starts, size)
+    # the first position where the sorted-unique sequence departs from
+    # 0,1,2,... IS the first missing index
+    first = np.minimum.reduceat(np.where(turn != pos, pos, size.max()), starts)
+    lo, n_missing = turn[starts], turn[starts + size - 1] + 1 - size
+    neg = lo < 0  # corrupt index: not a 0..n sequence by definition
+    flag = neg | (n_missing != 0)
+    return pd.DataFrame(
+        {
+            "conv_id": conv[starts][flag],
+            "turn_idx": np.where(neg, lo, first)[flag],
+            "check_id": "seq_gap",
+            "detail": np.where(neg, "negative turn_idx", "missing=" + n_missing.astype(str).astype(object))[flag],
+        }
+    )
 
 
 _PICK_SCHEMA = pa.schema([("conv_id", pa.string()), ("turn_idx", pa.int32())])
 
 
-@ray.remote
 def _verify_partition(part: tuple, dup_hashes: np.ndarray, convs: np.ndarray, conv_hashes: np.ndarray) -> pa.Table:
     """The ``(conv_id, turn_idx)`` rows of one partition whose key hash is in
     ``dup_hashes`` or whose conversation is in ``convs`` (all three sorted;
@@ -246,21 +274,37 @@ def _verify_partition(part: tuple, dup_hashes: np.ndarray, convs: np.ndarray, co
     if not hit:
         return _PICK_SCHEMA.empty_table()
     tbl = pq.read_table(data_path, columns=["conv_id", "turn_idx"])
-    conv = np.asarray(tbl["conv_id"].to_pandas(), dtype=object)
-    turn = tbl["turn_idx"].to_numpy(zero_copy_only=False)
-    turn = np.where(pd.isna(turn), -1, turn).astype(np.int64)  # match prep_state's sentinel
-    keep = (_member_mask(dup_hashes, hash_key(conv, turn)) | _member_mask(convs, conv)) & pd.notna(conv) & (conv != "")
-    return pa.table({"conv_id": pa.array(conv[keep], pa.string()), "turn_idx": pa.array(turn[keep].astype(np.int32))})
+    conv = tbl["conv_id"].cast(pa.string())
+    turn = pc.fill_null(tbl["turn_idx"].cast(pa.int64()), -1)  # match prep_state's sentinel
+    keep = pc.is_in(conv, value_set=pa.array(convs, pa.string())).to_numpy(zero_copy_only=False)
+    if len(dup_hashes):
+        # hash_key, with each distinct conversation hashed once (a null id
+        # takes the appended slot; null and empty ids are unkeyed anyway)
+        enc = pc.dictionary_encode(conv).combine_chunks()
+        conv_h = np.r_[hash_strings(enc.dictionary.to_numpy(zero_copy_only=False)), np.uint64(0)]
+        h = combine(conv_h[enc.indices.fill_null(len(enc.dictionary)).to_numpy()], turn.to_numpy())
+        keyed = pc.fill_null(pc.not_equal(conv, ""), False).to_numpy(zero_copy_only=False)
+        keep |= keyed & _member_mask(dup_hashes, h)
+    return pa.table({"conv_id": conv.filter(keep), "turn_idx": turn.filter(keep).cast(pa.int32(), safe=False)})
 
 
-def _scan_convs(parts: list, convs_sorted: np.ndarray, dup_hashes: np.ndarray = _NO_HASHES) -> pd.DataFrame:
+_verify_task = ray.remote(_verify_partition)
+
+
+def _scan_convs(
+    parts: list, convs_sorted: np.ndarray, dup_hashes: np.ndarray = _NO_HASHES, tasks: bool = False
+) -> pd.DataFrame:
     """Collect the ``(conv_id, turn_idx)`` rows of the given conversations
-    (and of the given key hashes): one :func:`_verify_partition` task per
-    partition, so only partitions holding a candidate read their data. The
-    conversations are hashed once here, not once per partition."""
-    convs_ref, dup_ref = ray.put(convs_sorted), ray.put(dup_hashes)
-    conv_h_ref = ray.put(np.sort(hash_strings(convs_sorted)))
-    picked = ray.get([_verify_partition.remote(p, dup_ref, convs_ref, conv_h_ref) for p in parts])
+    (and of the given key hashes), calling :func:`_verify_partition` once per
+    partition — in this process, or as Ray tasks when ``tasks`` — so only
+    partitions holding a candidate read their data. The conversations are
+    hashed once here, not once per partition."""
+    args = (dup_hashes, convs_sorted, np.sort(hash_strings(convs_sorted)))
+    if tasks:
+        refs = [ray.put(a) for a in args]
+        picked = ray.get([_verify_task.remote(p, *refs) for p in parts])
+    else:
+        picked = [_verify_partition(p, *args) for p in parts]
     return pa.concat_tables([_PICK_SCHEMA.empty_table(), *picked]).to_pandas()
 
 
@@ -275,13 +319,19 @@ def find_dup_hashes(key_runs: list, lo: int = 0, hi: int | None = None) -> np.nd
 
 def _gap_orphan_candidates(partials: list, lo: int, hi: int | None, member) -> tuple:
     """(gap conversations, orphan conversations) with ``h`` in ``[lo, hi)``:
-    that range of every partials sidecar, merged exactly by ``conv_id``
-    (:func:`merge_conv_partials`) and flagged. ``member`` is the index
-    membership test (:func:`_membership_checker`)."""
-    summ = merge_conv_partials([_partials_run(p, lo, hi).to_pandas() for p in partials])
-    conv = summ["conv_id"].to_numpy(object)
-    gap = (summ["min_t"].to_numpy() != 0) | (summ["max_t"].to_numpy() != summ["n_distinct"].to_numpy() - 1)
-    return conv[gap], conv[~member(conv)]
+    that range of every partials sidecar, merged exactly by ``conv_id`` (an
+    Arrow hash aggregate, the sums and bounds of :func:`merge_conv_partials`)
+    and flagged. ``member`` is the index membership test
+    (:func:`_membership_checker`)."""
+    tbl = pa.concat_tables([PARTIALS_SCHEMA.empty_table(), *(_partials_run(p, lo, hi) for p in partials)])
+    summ = tbl.group_by("conv_id").aggregate([("n_distinct", "sum"), ("min_t", "min"), ("max_t", "max")])
+    conv = summ["conv_id"]
+    gap = pc.or_(
+        pc.not_equal(summ["min_t_min"], 0),
+        pc.not_equal(summ["max_t_max"], pc.subtract(summ["n_distinct_sum"], 1)),
+    )
+    orphan = ~member(conv)
+    return conv.filter(gap).to_numpy(zero_copy_only=False), conv.filter(orphan).to_numpy(zero_copy_only=False)
 
 
 def _range_candidates(parts: list, lo: int, hi: int | None, member) -> tuple:
@@ -336,32 +386,49 @@ def build_bloom_index(index_path: str, fpp: float = 0.01):
     return build_bloom_from_hashes(hashed, n_total, fpp, shard_threshold=_BLOOM_SHARD_IDS)
 
 
+def _in_index(index: pa.Array, conv: pa.ChunkedArray) -> np.ndarray:
+    """Which of ``conv`` the index column holds (one Arrow hash-set probe)."""
+    return pc.is_in(conv, value_set=index).to_numpy(zero_copy_only=False)
+
+
 def _membership_checker(known_conv_ids):
-    """Serializable membership test for the orphan check: an empty index →
-    check not applicable (never flags); a pre-built BloomFilter/ShardedBloom
-    (the distributed build, :func:`build_bloom_index`, which the caller
-    picks for big indexes) → probe it; else a sorted-array searchsorted."""
+    """Serializable membership test over an Arrow string column, for the
+    orphan check: an empty index → check not applicable (never flags); a
+    pre-built BloomFilter/ShardedBloom (the distributed build,
+    :func:`build_bloom_index`, which the caller picks for big indexes) →
+    probe it; else the ids (the index's Arrow ``conv_id`` column, or any
+    sequence of strings) → an Arrow ``is_in``."""
     from ..functions.bloom import BloomFilter, ShardedBloom
 
     if isinstance(known_conv_ids, (BloomFilter, ShardedBloom)):
         return known_conv_ids.contains_strings
-    index_arr = np.asarray(list(known_conv_ids), dtype=object)
-    if not len(index_arr):
+    if isinstance(known_conv_ids, pa.ChunkedArray):
+        # one buffer: a chunk sliced from a shared buffer pickles all of it,
+        # and the checker is pickled into every range task
+        index = known_conv_ids.combine_chunks()
+    else:
+        index = pa.array(list(known_conv_ids), pa.string())
+    if not len(index):
         return lambda conv: np.ones(len(conv), dtype=bool)
-    return functools.partial(_member_mask, np.sort(index_arr))
+    return functools.partial(_in_index, index.cast(pa.string()))
 
 
 def keyspace_from_states(parts: list, known_conv_ids) -> pa.Table:
     """Key-space checks from phase 1's per-partition state. ``parts`` holds
     one ``(data file, key run, partials)`` path triple per partition, the
     sidecars as :func:`write_sidecars` wrote them; ``known_conv_ids`` is the
-    conversations index (ids, or a Bloom filter over them). Candidates come
-    hash range by hash range (:func:`_range_candidates`), and only
-    partitions whose sidecars hold a candidate have their key columns read."""
+    conversations index (its Arrow ``conv_id`` column, any sequence of ids,
+    or a Bloom filter over them). Candidates come hash range by hash range
+    (:func:`_range_candidates`), and only partitions whose sidecars hold a
+    candidate have their key columns read — all in this process for one
+    range, all as Ray tasks for more."""
     member = _membership_checker(known_conv_ids)
     n_keys = sum(os.path.getsize(k) for _, k, _ in parts) // 8
-    ranges = _hash_ranges(max(1, min(64, n_keys // _KEYS_PER_RANGE)))
-    if len(ranges) == 1:
+    ranges = _hash_ranges(max(1, min(64, -(-n_keys // _KEYS_PER_RANGE))))
+    # one range: all of phase 2 runs in this process; more: all of it runs as
+    # Ray tasks (the candidate step per range, verification per partition)
+    tasks = len(ranges) > 1
+    if not tasks:
         found = [_range_candidates(parts, *ranges[0], member)]
     else:
         member_ref = ray.put(member)
@@ -378,7 +445,7 @@ def keyspace_from_states(parts: list, known_conv_ids) -> pa.Table:
 
     # --- exact verification of dup + gap candidates, file by file ---
     if len(dup_hashes) or len(gap_convs):
-        small = _scan_convs(parts, gap_convs, dup_hashes)
+        small = _scan_convs(parts, gap_convs, dup_hashes, tasks)
 
         dup_convs = np.empty(0, dtype=object)
         if len(dup_hashes):
@@ -409,9 +476,9 @@ def keyspace_from_states(parts: list, known_conv_ids) -> pa.Table:
         # coincidence) — every verified-dup conversation not already flagged
         # gets an exact sequence check of its own, over the partitions that
         # hold it
-        extra = np.setdiff1d(dup_convs, gap_convs)
+        extra = dup_convs[~pd.Index(dup_convs).isin(gap_convs)]
         if len(extra):
-            out_frames.append(_exact_gaps(_scan_convs(parts, np.sort(extra))))
+            out_frames.append(_exact_gaps(_scan_convs(parts, np.sort(extra), tasks=tasks)))
 
     out_frames = [f for f in out_frames if len(f)]
     if out_frames:

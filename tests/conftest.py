@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pyarrow.parquet as pq
 import pytest
 
@@ -52,6 +54,48 @@ def session_cpus_free(timeout_s: float = 10.0) -> bool:
             return False
         time.sleep(0.1)
     return True
+
+
+class _TaskSpy:
+    """Stand-in for a Ray remote function: counts ``.remote`` calls and
+    forwards them, or raises on them when tasks are not allowed."""
+
+    def __init__(self, fn, allow: bool):
+        self.fn, self.allow, self.calls = fn, allow, 0
+
+    def remote(self, *args, **kw):
+        if not self.allow:
+            raise AssertionError("a one-range phase 2 submitted a Ray task")
+        self.calls += 1
+        return self.fn.remote(*args, **kw)
+
+
+@contextlib.contextmanager
+def phase2_task_spies(allow: bool = True):
+    """Phase 2's two task handles (``keyspace._range_task`` and
+    ``keyspace._verify_task``) replaced by :class:`_TaskSpy` objects, yielded
+    as ``{"range": spy, "verify": spy}``. With ``allow=False`` every task
+    submission and every ``ray.put`` raises instead."""
+    from unittest import mock
+
+    import ray
+
+    from teleharvest_ray.stages import keyspace
+
+    spies = {"range": _TaskSpy(keyspace._range_task, allow), "verify": _TaskSpy(keyspace._verify_task, allow)}
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(keyspace, "_range_task", spies["range"]))
+        stack.enter_context(mock.patch.object(keyspace, "_verify_task", spies["verify"]))
+        if not allow:
+            put_fails = AssertionError("a one-range phase 2 put an object")
+            stack.enter_context(mock.patch.object(ray, "put", side_effect=put_fails))
+        yield spies
+
+
+@pytest.fixture(scope="session")
+def phase2_tasks():
+    """:func:`phase2_task_spies`, for tests that check where phase 2 runs."""
+    return phase2_task_spies
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pytest
 import ray.data as rd
 
 import teleharvest_ray.stages.cluster as cl
@@ -380,6 +381,15 @@ def test_triangles_distributed_equals_local(ray_session):
     )
     assert loc.astype("int64").equals(dist.astype("int64"))
     assert loc["n_triangles"].sum() > 0  # the random graph has triangles
+
+
+@pytest.mark.parametrize("bad_id", [-1, 2**31])
+def test_triangle_packing_rejects_ids_outside_31_bits(ray_session, bad_id):
+    """The distributed path packs (b, c) into one int64 key, so a node id
+    that is negative or does not fit 31 bits must raise, not miscount."""
+    edges = pd.DataFrame({"id_a": [bad_id, bad_id, 1], "id_b": [1, 2, 2]}, dtype="int64")
+    with pytest.raises(Exception, match=r"node ids in \[0, 2\*\*31\)"):
+        cl.triangles(edges, edge_threshold=0, n_buckets=2).materialize()
 
 
 def test_bfs_distributed_equals_local(ray_session):

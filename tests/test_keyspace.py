@@ -26,9 +26,11 @@ def test_keyspace_matches_manifest(ray_session, keyspace_sidecars, dataset, tmp_
     import glob
 
     files = sorted(glob.glob(dataset + "/part-*.parquet"))
-    idx = pq.read_table(dataset + "/conversations.parquet")["conv_id"].to_pylist()
+    idx = pq.read_table(dataset + "/conversations.parquet")["conv_id"]
     parts = keyspace_sidecars(files, str(tmp_path))
     vio = keyspace_from_states(parts, idx).to_pandas()
+    # the index as a list of ids, as other callers pass it, gives the same rows
+    assert keyspace_from_states(parts, idx.to_pylist()).to_pandas().equals(vio)
 
     exp = pq.read_table(dataset + "/expected_violations.parquet").to_pandas()
     exp = exp[exp.check_id.isin(KS_IDS)]
@@ -134,6 +136,34 @@ def test_validator_writes_sidecar_blobs(ray_session, tmp_path):
         assert (arr[:-1] <= arr[1:]).all()
 
 
+def test_exact_gaps_matches_per_conversation_loop():
+    """The vectorized exact gap check equals a per-conversation loop over the
+    sorted-unique turns, with dups, gaps, offsets and negative turns (the
+    null sentinel -1 among them)."""
+    import numpy as np
+
+    from teleharvest_ray.stages.keyspace import _exact_gaps
+
+    def loop(df):
+        rows = []
+        for conv, g in df.groupby("conv_id"):
+            u = np.unique(g["turn_idx"].to_numpy())
+            if u[0] < 0:
+                rows.append((conv, int(u[0]), "seq_gap", "negative turn_idx"))
+            elif u[-1] + 1 != len(u):
+                first = int(np.flatnonzero(u != np.arange(len(u)))[0])
+                rows.append((conv, first, "seq_gap", f"missing={u[-1] + 1 - len(u)}"))
+        return rows
+
+    rng = np.random.default_rng(7)
+    for n in [0, 1, 2, 5, 40, 300]:
+        conv = rng.choice(list("abcdefg"), n).astype(object)
+        df = pd.DataFrame({"conv_id": conv, "turn_idx": rng.integers(-2, 15, n)})
+        got = _exact_gaps(df)
+        assert list(got.columns) == ["conv_id", "turn_idx", "check_id", "detail"]
+        assert [(c, int(t), k, d) for c, t, k, d in got.itertuples(index=False)] == loop(df)
+
+
 def test_gap_orphan_candidates_by_range_match_whole(tmp_path):
     """Gap/orphan candidates read range by range from partials sidecars equal
     the candidates read whole and a brute-force answer, with conversations
@@ -180,10 +210,11 @@ def test_gap_orphan_candidates_by_range_match_whole(tmp_path):
         assert sorted(np.concatenate([o for _, o in ranged])) == sorted(orphans)
 
 
-def test_several_hash_ranges_match_one(ray_session, tmp_path, monkeypatch):
-    """Phase 2 over several hash ranges (Ray tasks) gives the one-range
-    (driver) result and the planted manifest, on a corpus with cross-partition
-    dups, a gap masked by a dup, orphans and a zero-row partition."""
+def test_several_hash_ranges_match_one(ray_session, tmp_path, monkeypatch, phase2_tasks):
+    """Phase 2 over several hash ranges (Ray tasks, for both the candidate
+    step and verification) gives the one-range (driver) result and the
+    planted manifest, on a corpus with cross-partition dups, a gap masked by
+    a dup, orphans and a zero-row partition."""
     import pyarrow as pa
 
     from teleharvest_ray.pipelines.validate import read_violations, run_validation
@@ -214,7 +245,12 @@ def test_several_hash_ranges_match_one(ray_session, tmp_path, monkeypatch):
     s_one, one = run("one")
     monkeypatch.setattr(keyspace, "_KEYS_PER_RANGE", 500)
     assert s_one["rows_scanned"] // 500 >= 4  # several ranges
-    s_many, many = run("many")
+    with phase2_tasks() as spies:
+        s_many, many = run("many")
+    # one candidate task per range; one verification task per partition for
+    # the candidates, and again for the dup re-check of the masked gap
+    assert spies["range"].calls >= 4
+    assert spies["verify"].calls == 2 * s_many["n_partitions"]
     pd.testing.assert_frame_equal(one, many)
     assert {k: v for k, v in s_one.items() if k != "out_dir"} == {k: v for k, v in s_many.items() if k != "out_dir"}
 
@@ -242,6 +278,15 @@ def test_lineage_records_stay_small(ray_session, tmp_path):
     recs = glob.glob(os.path.join(out, "checkpoints", "part-*.json"))
     assert len(recs) == 2
     assert all(os.path.getsize(r) < 50_000 for r in recs), [os.path.getsize(r) for r in recs]
+
+
+def test_one_range_phase2_starts_no_ray_work(ray_session, keyspace_sidecars, dataset, tmp_path, phase2_tasks):
+    """One hash range runs all of phase 2 in this process: with every task
+    submission and ``ray.put`` made to raise, the manifest check and the
+    candidate-partition check still pass on a dirty corpus."""
+    with phase2_tasks(allow=False):
+        test_keyspace_matches_manifest(ray_session, keyspace_sidecars, dataset, tmp_path / "manifest")
+        test_phase2_reads_only_candidate_partitions(ray_session, keyspace_sidecars, tmp_path / "candidates")
 
 
 def test_phase2_reads_only_candidate_partitions(ray_session, keyspace_sidecars, tmp_path):

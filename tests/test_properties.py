@@ -126,11 +126,12 @@ def _keyspace_case(draw):
 
 @given(case=_keyspace_case())
 @settings(max_examples=15, deadline=None)
-def test_keyspace_matches_bruteforce_oracle(ray_session, keyspace_sidecars, case):
+def test_keyspace_matches_bruteforce_oracle(ray_session, keyspace_sidecars, phase2_tasks, case):
     """The candidates-then-verify keyspace engine must equal a brute-force
     oracle for ANY turn multiset split across ANY number of partitions, empty
     ones included (this is the property the masked-gap bug violated), merged
-    in one hash range or in several."""
+    in one hash range on the driver (no Ray task) or in several as Ray tasks
+    (candidates and verification both)."""
     import tempfile
     from unittest import mock
 
@@ -153,7 +154,11 @@ def test_keyspace_matches_bruteforce_oracle(ray_session, keyspace_sidecars, case
         parts = keyspace_sidecars(files, d)
         # a keys-per-range count that splits these keys into about n_ranges
         # hash ranges (1 keeps the driver-side single range)
-        with mock.patch.object(keyspace, "_KEYS_PER_RANGE", len(rows) // n_ranges or 1):
+        several = n_ranges > 1 and len(rows) > 1
+        with (
+            mock.patch.object(keyspace, "_KEYS_PER_RANGE", len(rows) // n_ranges or 1),
+            phase2_tasks(allow=several) as spies,
+        ):
             got = keyspace_from_states(parts, known).to_pandas()
     got_set = set(map(tuple, got[["conv_id", "turn_idx", "check_id"]].itertuples(index=False)))
 
@@ -172,6 +177,10 @@ def test_keyspace_matches_bruteforce_oracle(ray_session, keyspace_sidecars, case
         if known and c not in known:
             want.add((c, -1, "orphan_conv"))
     assert got_set == want, (sorted(got_set - want), sorted(want - got_set))
+    if several:
+        assert spies["range"].calls > 1
+        # a dup or a gap is found only by verifying its candidates
+        assert spies["verify"].calls or not any(v[2] != "orphan_conv" for v in want)
 
 
 @given(

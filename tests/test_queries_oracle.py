@@ -92,3 +92,27 @@ def test_entry_smoke(ray_session):
     df = _to_pandas(res)
     assert len(df) > 50
     assert set(df.columns) == {"conv_id", "turn_idx", "check_id", "detail"}
+
+
+def test_snapshot_diff_collects_only_the_diff(ray_session, monkeypatch):
+    """q_snapshot_diff classifies rows in the workers: the rows that reach
+    the driver add up to the diff itself, on a table whose rows are ~97%
+    unchanged."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    import __ray_entry__ as e
+
+    collected = []
+    to_pandas = rd.Dataset.to_pandas
+
+    def counting_to_pandas(self, *args, **kw):
+        df = to_pandas(self, *args, **kw)
+        collected.append(len(df))
+        return df
+
+    monkeypatch.setattr(rd.Dataset, "to_pandas", counting_to_pandas)
+    out = e.queries()["q_snapshot_diff"](SF_DIR)
+    n_docs = pq.ParquetFile(f"{SF_DIR}/documents.parquet").metadata.num_rows
+    assert 0 < len(out) < n_docs // 10
+    assert sum(collected) == len(out)
