@@ -56,13 +56,24 @@ class ValidationConfig:
     len_hist_max: int = 8192
 
     # --- execution knobs ---
-    # CPUs requested per PartitionValidator actor. The validator is MEMORY-
-    # BANDWIDTH-bound (byte-LUT scans, hashing, Arrow decode), not ALU-bound:
-    # one actor per vCPU oversubscribes the memory system (measured on the
-    # 32-vCPU bench node: 16 actors → 20.6 s, 32 actors → 74 s on the same
-    # input). 2 vCPUs per actor keeps per-actor bandwidth healthy and ports
-    # to real cluster nodes, where vCPU:bandwidth ratios are similar.
-    validator_num_cpus: float = 2.0
+    # CPUs requested per PartitionValidator actor: the validator is single-
+    # threaded, so one actor per free session CPU. Set from the measured
+    # crossover: a whole run_validation over a seeded 67k-turn, 12-partition
+    # datagen corpus (hot_conv=True), each run in a fresh Ray session on a
+    # 4-CPU box, three runs, seconds (median in brackets), with the actors
+    # that the session places:
+    #
+    #   session   2 CPUs/actor          1 CPU/actor           0.5 CPU/actor
+    #   2 CPUs    4.56-5.09 (4.98) 1    3.85-3.89 (3.85) 2    3.12-3.98 (3.94) 4
+    #   4 CPUs    2.92-3.38 (3.10) 2    2.84-3.20 (3.09) 4    3.58-4.24 (3.72) 8
+    #
+    # One CPU per actor ties two at 4 CPUs and is 23% faster at 2, where a
+    # 2-CPU actor leaves a CPU idle; half a CPU per actor oversubscribes the
+    # session. Sessions above 4 CPUs are unmeasured at this default, and the
+    # one earlier figure from a larger node contradicts it: on a 32-vCPU
+    # node, 16 actors took 20.6 s and 32 actors 74 s on the same input (read
+    # as memory-bandwidth bound). Measure such nodes before relying on 1.
+    validator_num_cpus: float = 1.0
 
     # Declaratively disabled checks (the check-registry extension seam,
     # SURVEY.md §2.9): ids from schema.CHAIN_CHECKS / schema.GLOBAL_CHECKS.

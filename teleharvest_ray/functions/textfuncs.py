@@ -44,6 +44,10 @@ for _b in (9, 10, 11, 12, 13, 32):
     _SPACE_LUT[_b] = 1
 _NONSPACE_LUT = (1 - _SPACE_LUT).astype(np.uint8)
 _NONALNUM_LUT = (1 - _ALNUM_LUT).astype(np.uint8)
+# RE2's \s exactly: [\t\n\f\r ] — unlike _SPACE_LUT, no \v
+_RE2_SPACE_LUT = np.zeros(256, np.uint8)
+for _b in (9, 10, 12, 13, 32):
+    _RE2_SPACE_LUT[_b] = 1
 
 
 def _string_buffer_view(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
@@ -76,7 +80,14 @@ def byte_class_counts(arr, lut: np.ndarray) -> np.ndarray:
     if end == 0:
         return np.zeros(n, np.int64)
     pos = np.flatnonzero(lut.view(np.bool_)[data[:end]])
-    return (np.searchsorted(pos, offsets[1:]) - np.searchsorted(pos, offsets[:-1])).astype(
+    return _count_in_strings(pos, offsets)
+
+
+def _count_in_strings(pos: np.ndarray, offsets: np.ndarray, side: str = "left") -> np.ndarray:
+    """Per-string count of the sorted byte positions ``pos`` that fall in
+    each string's ``[start, end)`` — or ``(start, end)`` with
+    ``side="right"`` — by two binary searches over the offsets."""
+    return (np.searchsorted(pos, offsets[1:]) - np.searchsorted(pos, offsets[:-1], side=side)).astype(
         np.int64, copy=False
     )
 
@@ -113,7 +124,7 @@ def tokenize(arr) -> TokenBatch:
     # to_pandas conversion entirely
     de = flat.dictionary_encode()
     codes = de.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    uniques = np.asarray(de.dictionary.to_pandas(), dtype=object)
+    uniques = de.dictionary.to_numpy(zero_copy_only=False)
     uniq_hash = (
         pd.util.hash_array(uniques, categorize=False).astype(np.uint64)
         if len(uniques)
@@ -201,11 +212,32 @@ def alt_score(arr_or_tokens) -> np.ndarray:
 
 
 def token_count(arr_or_tokens) -> np.ndarray:
-    """Whitespace-token count (embedding-proxy length feature)."""
+    """Whitespace-token count (embedding-proxy length feature). On text it is
+    exactly ``pc.count_substring_regex(arr, r"\\S+")`` without the regex
+    scan: RE2's ``\\s`` is the ASCII class ``[\\t\\n\\f\\r ]`` and no UTF-8
+    continuation byte is ASCII, so it counts runs of non-space bytes. A run
+    starts at a string's first byte unless that is a space, and at each
+    non-space byte that follows a space inside the string; spaces are the
+    sparse class, so only their positions are materialized. Nulls read NaN,
+    as in the regex count's ``to_numpy``."""
     if isinstance(arr_or_tokens, TokenBatch):
         tok = arr_or_tokens
         return np.bincount(tok.rows, minlength=tok.n_rows).astype(np.int64)
-    return pc.count_substring_regex(arr_or_tokens, pattern=r"\S+").to_numpy(zero_copy_only=False)
+    arr = arr_or_tokens
+    data, offsets = _string_buffer_view(arr)
+    n = len(offsets) - 1
+    lo, end = (int(offsets[0]), int(offsets[-1])) if n else (0, 0)
+    space = _RE2_SPACE_LUT.view(np.bool_)[data[lo:end]]
+    nxt = np.flatnonzero(space[:-1]) + 1
+    starts = nxt[~space[nxt]] + lo  # absolute, like offsets
+    nonempty = offsets[1:] > offsets[:-1]
+    first = np.zeros(n, np.int64)
+    first[nonempty] = ~space[offsets[:-1][nonempty] - lo]
+    # an empty string's offset is the next string's first byte, not its own
+    out = np.where(nonempty, _count_in_strings(starts, offsets, side="right") + first, 0)
+    if arr.null_count:
+        return np.where(arr.is_null().to_numpy(zero_copy_only=False), np.nan, out)
+    return out
 
 
 def hashed_bow(texts, dim: int = BOW_DIM) -> np.ndarray:

@@ -391,9 +391,10 @@ def run_validation(
     n_resumed = len(files) - len(todo) - len(errors)
     new_records = []
     if todo:
-        # actors sized to memory bandwidth, not vCPU count (see
-        # ValidationConfig.validator_num_cpus), but never asking for more
-        # CPUs than the session has: such an actor is never placed
+        # one single-threaded validator per free session CPU by default (the
+        # measured crossover is next to ValidationConfig.validator_num_cpus),
+        # but never asking for more CPUs than the session has: such an actor
+        # is never placed
         total_cpus = ray.cluster_resources().get("CPU", 0)
         if not total_cpus:
             raise RuntimeError("the Ray session has no CPUs to run validators on")

@@ -164,8 +164,10 @@ ONE_CPU_RUN = """
 import json, sys
 import ray
 ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+from teleharvest_ray.config import ValidationConfig
 from teleharvest_ray.pipelines.validate import run_validation
-print(json.dumps(run_validation(sys.argv[1], sys.argv[2], write_annotated=False), default=str))
+cfg = ValidationConfig(validator_num_cpus=2.0)  # more than the session has
+print(json.dumps(run_validation(sys.argv[1], sys.argv[2], cfg, write_annotated=False), default=str))
 """
 
 

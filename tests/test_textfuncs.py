@@ -63,6 +63,62 @@ def test_tokenize_matches_str_split():
     assert counts == want
 
 
+# RE2's \s is [\t\n\f\r ]: \v (0x0B), U+00A0 and U+2003 sit inside tokens
+_COUNT_CASES = [
+    "a\vb c", "no\u00a0break", "em\u2003space here", "  lead", "trail  ", "dou  bled\t\tws",
+    "\n\r\f\t ", "", None, "one", "тест слова ок", "x" * 300 + " y",
+]
+
+
+_RNG_ALPHABET = ["a", "Z", "9", "é", "\u00a0", "\u2003", " ", "\t", "\n", "\v", "\f", "\r", "  "]
+_rng = np.random.default_rng(3)
+_RANDOM_TEXTS = ["".join(_rng.choice(_RNG_ALPHABET, int(_rng.integers(0, 12)))) for _ in range(400)]
+
+
+def _regex_count(arr) -> np.ndarray:
+    return pc.count_substring_regex(arr, pattern=r"\S+").to_numpy(zero_copy_only=False)
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [
+        pa.array(_COUNT_CASES, pa.string()),
+        pa.array(_COUNT_CASES, pa.large_string()),
+        pa.array(_COUNT_CASES, pa.string()).slice(3, 6),  # offset > 0
+        pa.chunked_array([pa.array(_COUNT_CASES[:5]), pa.array(_COUNT_CASES[5:])]),
+        pa.array([], pa.string()),
+        pa.array([" ", "a"], pa.string()),  # no nulls: an integer count
+        pa.array(_RANDOM_TEXTS, pa.string()),
+    ],
+    ids=["string", "large_string", "sliced", "chunked", "empty", "no_nulls", "random"],
+)
+def test_token_count_equals_regex_count(arr):
+    got, want = tf.token_count(arr), _regex_count(arr)
+    np.testing.assert_array_equal(got, want)
+    assert len(got) == len(arr) and np.isnan(got).sum() == arr.null_count
+
+
+def test_token_count_splits_on_ascii_space_only():
+    """Pinned difference: the text count (RE2 ``\\S+``) keeps U+00A0 inside a
+    token, while the tokenizer (``utf8_split_whitespace``) splits on it."""
+    arr = pa.array(["no\u00a0break here"], pa.string())
+    assert tf.token_count(arr).tolist() == [2]
+    assert tf.token_count(tf.tokenize(arr)).tolist() == [3]
+
+
+def test_tokenize_hashes_equal_pandas_object_hash():
+    """The tokenizer's unique-token hashes are pandas' SipHash over the
+    dictionary's ``to_pandas`` values, non-ASCII tokens included."""
+    import pandas as pd
+
+    arr = pa.array(["héllo wörld héllo", "тест слова", None, "emoji 🙂 ok", ""], pa.string())
+    tok = tf.tokenize(arr)
+    flat = pc.list_flatten(pc.utf8_split_whitespace(arr))
+    uniques = np.asarray(flat.filter(pc.greater(pc.binary_length(flat), 0)).dictionary_encode().dictionary.to_pandas(), dtype=object)
+    assert list(tok.uniques) == list(uniques)
+    np.testing.assert_array_equal(tok.uniq_hash, pd.util.hash_array(uniques, categorize=False).astype(np.uint64))
+
+
 def test_alt_score_distinct_ratio():
     arr = pa.array(["a b c d", "x x x x", "", "one"], pa.string())
     s = tf.alt_score(arr)

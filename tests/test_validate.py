@@ -249,6 +249,33 @@ def test_run_releases_session_cpus(ray_session, cpus_free, tmp_path):
         gc.enable()
 
 
+def test_phase1_runs_one_validator_per_session_cpu(ray_session, cpus_free, tmp_path):
+    """With the default config, phase 1 asks for one 1-CPU validator per free
+    session CPU: four actors in the 4-CPU test session for six partitions."""
+    import gc
+    from unittest import mock
+
+    import ray.data as rd
+
+    from teleharvest_ray.pipelines.validate import PartitionValidator
+
+    d = str(tmp_path / "six")
+    generate(d, GenSpec(n_convs=60, n_files=6, seed=9))
+    gc.collect()
+    assert cpus_free(), "an earlier test left session CPUs held"
+    pools, map_batches = [], rd.Dataset.map_batches
+
+    def spy(self, fn, *args, **kw):
+        if fn is PartitionValidator:
+            pools.append(kw)
+        return map_batches(self, fn, *args, **kw)
+
+    with mock.patch.object(rd.Dataset, "map_batches", spy):
+        s = run_validation(d, str(tmp_path / "out"), write_annotated=False)
+    assert s["n_validated_now"] == 6
+    assert [(kw["num_cpus"], kw["concurrency"]) for kw in pools] == [(1, 4)]
+
+
 def test_index_change_recomputes_global_checks(ray_session, tmp_path):
     """The conversations index decides the orphans, so a resume after the
     index alone changed recomputes the global checks: with the orphan ids
