@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 _U64 = np.uint64
 
@@ -29,12 +31,15 @@ def splitmix64(x: np.ndarray) -> np.ndarray:
 
 def hash_strings(values) -> np.ndarray:
     """uint64 hash of a string array-like; nulls hash to a fixed sentinel."""
-    arr = np.asarray(pd.array(values, dtype=object), dtype=object)
+    arr = np.asarray(values, dtype=object)
     mask = pd.isna(arr)
     if mask.any():
         arr = arr.copy()
         arr[mask] = "\x00<null>"
     return pd.util.hash_array(arr, categorize=False).astype(_U64)
+
+
+_NULL_HASH = hash_strings(np.array([None], dtype=object))
 
 
 #: polynomial-hash base shared with stages.text_analysis.FP_BASE — kept as a
@@ -87,8 +92,21 @@ def hash_key(conv_id, turn_idx) -> np.ndarray:
     Hashing the FULL composite key is what makes the uniqueness shuffle
     skew-proof: a hot conversation's turns spread uniformly over buckets
     because turn_idx participates in the hash (SURVEY.md §4 skew row).
-    """
-    h = hash_strings(conv_id)
-    t = np.asarray(turn_idx)
-    t = np.where(pd.isna(t), -1, t).astype(np.int64).view(np.uint64)
-    return combine(h, t)
+
+    Each distinct ``conv_id`` is hashed once (a dictionary encode, then one
+    :func:`hash_strings` over the distinct ids); a null id hashes like
+    :func:`hash_strings`' null and a null turn as ``-1``. Arrow or array-like
+    inputs."""
+    if not isinstance(conv_id, (pa.Array, pa.ChunkedArray)):
+        conv_id = pa.array(np.asarray(conv_id, dtype=object), pa.string(), from_pandas=True)
+    enc = pc.dictionary_encode(conv_id)
+    if isinstance(enc, pa.ChunkedArray):
+        enc = enc.combine_chunks()
+    uniq = np.r_[hash_strings(enc.dictionary.to_numpy(zero_copy_only=False)), _NULL_HASH]
+    h = uniq[enc.indices.fill_null(len(enc.dictionary)).to_numpy()]
+    if isinstance(turn_idx, (pa.Array, pa.ChunkedArray)):
+        t = pc.fill_null(turn_idx.cast(pa.int64()), -1).to_numpy()
+    else:
+        t = np.asarray(turn_idx)
+        t = np.where(pd.isna(t), -1, t).astype(np.int64)
+    return combine(h, t.view(np.uint64))

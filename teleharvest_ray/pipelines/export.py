@@ -77,9 +77,7 @@ def _split_one(path: str, bad_keys: np.ndarray, bad_df: pd.DataFrame, export_dir
     if os.path.exists(cpath) and os.path.exists(qpath):
         return {"partition_id": pid, "rows": -1, "quarantined": -1, "skipped": True}
     t = pq.read_table(path)
-    conv = np.asarray(t["conv_id"].to_pandas(), dtype=object)
-    turn = t["turn_idx"].to_numpy(zero_copy_only=False)
-    k = hash_key(conv, turn)
+    k = hash_key(t["conv_id"], t["turn_idx"])
     if len(bad_keys):
         pos = np.searchsorted(bad_keys, k)
         pos_c = np.minimum(pos, len(bad_keys) - 1)
@@ -90,7 +88,8 @@ def _split_one(path: str, bad_keys: np.ndarray, bad_df: pd.DataFrame, export_dir
         # exact confirm of hash hits: candidate-sized merge, so a 64-bit
         # collision can cost a lookup but never misroutes a row
         ci = np.flatnonzero(cand)
-        cf = pd.DataFrame({"conv_id": conv[ci], "turn_idx": turn[ci].astype("int64")})
+        cf = t.select(["conv_id", "turn_idx"]).take(ci).to_pandas()
+        cf["turn_idx"] = cf["turn_idx"].to_numpy().astype("int64")
         hit = cf.merge(bad_df.assign(__bad=True), on=["conv_id", "turn_idx"], how="left")[
             "__bad"
         ].notna()

@@ -131,10 +131,12 @@ class PartitionValidator:
         > 0`` is the ROW-LEVEL INCREMENTAL path (the reference's watermark:
         only rows past the last validated id are fetched, processor.py:59-63,
         models/message.py:75-89, under the same append-only/id-monotone
-        contract): only the delta rows are scanned, their outputs MERGE into
-        the partition's existing violations/sketch/keyspace state, and the
-        last-turn ER exemption is scoped to the delta (the reference's
-        per-fetched-batch semantics, processor.py:76-77)."""
+        contract): only the delta rows run the chain and the stats, their
+        outputs MERGE into the partition's existing violations and sketch,
+        and the last-turn ER exemption is scoped to the delta (the reference's
+        per-fetched-batch semantics, processor.py:76-77). The key-space
+        state is built from the whole partition's key columns on every scan,
+        full or delta, so the sidecars never merge a prefix's."""
         t0 = time.perf_counter()
         # stat BEFORE the scan: rows appended concurrently with this scan are
         # not covered by the recorded size/mtime, so the next resume's stat
@@ -147,17 +149,15 @@ class PartitionValidator:
         # exemption recasts the reference's per-batch flag, processor.py:76-77)
         # and the stats sketches merge associatively, so group-wise == whole.
         pf = pq.ParquetFile(path)
-        # the fetched span's key columns, one cheap two-column read: they
-        # scope the last-turn ER exemption to the fetch (per-conv max turn)
-        # even though the text columns stream row-group-wise, and they are
-        # the span's key-space state
-        kt = pq.read_table(path, columns=["conv_id", "turn_idx"]).slice(start_row)
+        # the partition's key columns, one cheap two-column read: the whole
+        # of them is the partition's key-space state, and the fetched span's
+        # slice scopes the last-turn ER exemption to the fetch (per-conv max
+        # turn) even though the text columns stream row-group-wise
+        kt = pq.read_table(path, columns=["conv_id", "turn_idx"])
         # sorted-hash-array map, not a Python dict: ~12 B/conversation
         # (uint64 key + max) vs ~100+ B/entry for an object dict — the
         # heaviest per-task transient at multi-million-conv files
-        conv_last = build_conv_last(
-            kt["conv_id"].to_pandas().to_numpy(), kt["turn_idx"].to_numpy(zero_copy_only=False)
-        )
+        conv_last = build_conv_last(kt.slice(start_row))
         ks = prep_state(kt)
         ann_parts, vio_parts, stats = [], [], None
         cum = 0
@@ -184,29 +184,23 @@ class PartitionValidator:
         vio = pa.concat_tables(vio_parts)
         delta_rows = ann.num_rows
 
-        # Incremental path: fold the already-validated prefix's state back in
-        # (sketches merge associatively; key runs concatenate; conv partials
-        # re-aggregate) so the record/sidecars describe the WHOLE partition.
-        prev_rows, prev_sidecars = 0, None
+        # Incremental path: fold the already-validated prefix's sketch back
+        # in (sketches merge associatively) so the record describes the
+        # WHOLE partition; the key state above already covers it.
+        prev_rows = 0
         if start_row:
             old = CheckpointStore(os.path.join(self.out_dir, "checkpoints")).read(pid)
             if old is not None:
                 prev_rows = int(old.get("rows_scanned", 0))
                 if old.get("sketch_state"):
                     stats = merge_stats(stats_from_bytes(old["sketch_state"]), stats)
-                # scheduling only emits start_row>0 when both sidecars exist
-                # (run_validation's work list) — older record formats take
-                # the full-rescan path instead of a lossy delta
-                prev_sidecars = (old["keyspace_blob"], old["keyspace_partials"])
 
         # key-space state piggybacks on this scan of the partition so phase 2
         # re-reads a partition only when its sidecars hold a candidate
         # (SURVEY §4 shuffle-minimization). The sidecars are sorted here
         # (distributed, in the actor) and the lineage record carries only
         # their paths + digest, so at 10^12 keys the driver never holds them.
-        blob_path, partials_path, blob_digest = write_sidecars(
-            ks, os.path.join(self.out_dir, "keyspace"), pid, prev_sidecars
-        )
+        blob_path, partials_path, blob_digest = write_sidecars(ks, os.path.join(self.out_dir, "keyspace"), pid)
 
         # drift is a whole-partition distribution check → merged stats
         findings = (
@@ -353,15 +347,16 @@ def run_validation(
     # GREW since validation (the reference's watermark semantics: new rows
     # append under an id-monotone contract, processor.py:59-63) — only the
     # delta rows [rows_scanned, end) revalidate, merging into the existing
-    # state. A shrunk/replaced file falls back to full revalidation. The
-    # growth probe is a footer-only read per already-validated file.
+    # violations and sketch (the key state is rebuilt from the whole file).
+    # A shrunk/replaced file falls back to full revalidation. The growth
+    # probe is a footer-only read per already-validated file.
     todo = []
     errors: dict[str, str] = {}
     for f, p in zip(files, pids):
         rec = done.get(p)
         # phase 2 reads a partition's key state only from its sidecars, so a
         # record without them (an older format, or files removed) is
-        # revalidated in full — a delta would drop the prefix's key state
+        # revalidated in full: the sidecars must be rebuilt
         if rec is None or not all(
             rec.get(k) and os.path.exists(rec[k]) for k in ("keyspace_blob", "keyspace_partials")
         ):

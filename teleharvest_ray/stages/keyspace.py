@@ -10,9 +10,11 @@ per the north_rule:
 - **orphan_conv**: a ``conv_id`` present in turns but absent from the
   conversations index (referential resolution).
 
-Scale design (SURVEY.md §4). Phase 1 already reads every partition once;
-while it does, each partition validator computes the partition's key state
-(:func:`prep_state`) and writes it as two sidecar files
+Scale design (SURVEY.md §4). Phase 1 already reads every partition's key
+columns once per scan; while it does, each partition validator computes the
+partition's key state from the whole partition (:func:`prep_state`, one
+Arrow hash aggregate; a delta scan rebuilds it whole rather than merging the
+prefix's sidecars) and writes it as two sidecar files
 (:func:`write_sidecars`, the one writer of both formats): a SORTED run of
 ``hash(conv_id, turn_idx)`` packed uint64s (8 bytes/row, the full composite
 key, so a hot conversation spreads over hash space while identical keys still
@@ -32,7 +34,8 @@ crossover, task start-up costs more than a driver pass).
    (:func:`find_dup_hashes`), and the range of every partials file merges
    exactly by ``conv_id`` into per-conversation summaries; a conversation is
    a gap candidate unless ``min == 0 and max == n_distinct - 1``, and an
-   orphan when the index lacks it (:func:`_gap_orphan_candidates`).
+   orphan when the index lacks it (:func:`_gap_orphan_candidates`; the merge,
+   :func:`merge_conv_partials`, is the engine's only partials merge).
    Duplicate keys across partitions can overcount ``n_distinct`` → false
    *candidates*, never false violations (step 2 verifies). Each range reads
    only its own slice of every file.
@@ -64,7 +67,7 @@ import pyarrow.parquet as pq
 import ray
 
 from ..functions.arrays import member_mask
-from ..functions.hashing import combine, hash_key, hash_strings
+from ..functions.hashing import hash_key, hash_strings
 
 VIOLATION_COLS = ["conv_id", "turn_idx", "check_id", "detail"]
 _member_mask = member_mask
@@ -96,19 +99,28 @@ _KEYS_PER_RANGE = 2_000_000
 
 def prep_state(tbl: pa.Table) -> dict:
     """Key-space state of a ``(conv_id, turn_idx)`` table: the key hashes
-    (unsorted) and per-conv partial sequence stats. Mergeable across
-    partitions and deltas (key hashes concatenate; conv partials
-    re-aggregate); :func:`write_sidecars` writes it as the partition's two
-    sidecar files, from which phase 2 works."""
-    conv = np.asarray(tbl["conv_id"].to_pandas(), dtype=object)
-    turn = tbl["turn_idx"].to_numpy(zero_copy_only=False)
-    turn = np.where(pd.isna(turn), -1, turn).astype(np.int64)  # null → -1 sentinel
-    ok = pd.notna(conv) & (conv != "")
-    conv, turn = conv[ok], turn[ok]
-    df = pd.DataFrame({"conv_id": conv, "turn_idx": turn})
-    c = df.groupby("conv_id", sort=False)["turn_idx"].agg(["nunique", "min", "max", "size"]).reset_index()
-    c.columns = ["conv_id", "n_distinct", "min_t", "max_t", "n_rows"]
-    return {"keys": hash_key(conv, turn), "conv": c}
+    (unsorted) and per-conv partial sequence stats (one Arrow hash aggregate
+    over the keyed rows: null and empty ids dropped, a null turn as the
+    ``-1`` sentinel). The validator builds it from the whole partition on
+    every scan, full or delta; :func:`write_sidecars` writes it as the
+    partition's two sidecar files, from which phase 2 works."""
+    conv = tbl["conv_id"].cast(pa.string())
+    keyed = pa.table(
+        {"conv_id": conv, "turn_idx": pc.fill_null(tbl["turn_idx"].cast(pa.int64()), -1)}
+    ).filter(pc.fill_null(pc.not_equal(conv, ""), False))
+    c = keyed.group_by("conv_id").aggregate(
+        [("turn_idx", "count_distinct"), ("turn_idx", "min"), ("turn_idx", "max"), ("turn_idx", "count")]
+    )
+    conv_stats = pa.table(
+        {
+            "conv_id": c["conv_id"],
+            "n_distinct": c["turn_idx_count_distinct"],
+            "min_t": c["turn_idx_min"],
+            "max_t": c["turn_idx_max"],
+            "n_rows": c["turn_idx_count"],
+        }
+    )
+    return {"keys": hash_key(keyed["conv_id"], keyed["turn_idx"]), "conv": conv_stats}
 
 
 PARTIALS_SCHEMA = pa.schema(
@@ -123,31 +135,26 @@ PARTIALS_SCHEMA = pa.schema(
 )
 
 
-def conv_partials_table(df: pd.DataFrame) -> pa.Table:
-    """The partials sidecar table of a conv-partials frame: typed columns
-    plus ``h = hash_strings(conv_id)``, sorted by ``h`` so a hash range is a
-    contiguous slice (empty partitions still give a schema-complete file)."""
-    df = df.assign(h=hash_strings(df["conv_id"].to_numpy(object))).sort_values("h", kind="stable")
-    return pa.Table.from_pandas(df, schema=PARTIALS_SCHEMA, preserve_index=False).replace_schema_metadata()
+def conv_partials_table(conv: pa.Table) -> pa.Table:
+    """The partials sidecar table of :func:`prep_state`'s per-conv stats:
+    typed columns plus ``h = hash_strings(conv_id)`` (each id is distinct
+    here, so hashed once), sorted by ``h`` so a hash range is a contiguous
+    slice (empty partitions still give a schema-complete file)."""
+    h = hash_strings(conv["conv_id"].to_numpy())
+    tbl = pa.table([h, *(conv[c] for c in PARTIALS_SCHEMA.names[1:])], schema=PARTIALS_SCHEMA)
+    return tbl.take(np.argsort(h, kind="stable")).combine_chunks()
 
 
-def merge_conv_partials(frames: list[pd.DataFrame]) -> pd.DataFrame:
-    """Merge conv partials exactly by ``conv_id`` into per-conv summaries.
-    n_distinct sums can overcount when a duplicated key spans partitions —
-    overcounts either create false gap CANDIDATES (verified exactly, cost: a
-    lookup) or can mask a real gap (nd_sum coincidentally equals max+1),
-    which is why keyspace_from_states ALSO exact-checks every verified-dup
-    conversation."""
-    frames = [f for f in frames if len(f)]
-    if not frames:
-        return pd.DataFrame(columns=["conv_id", "n_distinct", "min_t", "max_t", "n_rows"])
-    allp = pd.concat(frames, ignore_index=True)
-    return allp.groupby("conv_id", sort=False).agg(
-        n_distinct=("n_distinct", "sum"),
-        min_t=("min_t", "min"),
-        max_t=("max_t", "max"),
-        n_rows=("n_rows", "sum"),
-    ).reset_index()
+def merge_conv_partials(tables: list) -> pa.Table:
+    """Merge partials tables exactly by ``conv_id`` into per-conv summaries
+    (one Arrow hash aggregate: ``n_distinct_sum``, ``min_t_min``,
+    ``max_t_max``). n_distinct sums can overcount when a duplicated key
+    spans partitions — overcounts either create false gap CANDIDATES
+    (verified exactly, cost: a lookup) or can mask a real gap (nd_sum
+    coincidentally equals max+1), which is why keyspace_from_states ALSO
+    exact-checks every verified-dup conversation."""
+    tbl = pa.concat_tables([PARTIALS_SCHEMA.empty_table(), *tables])
+    return tbl.group_by("conv_id").aggregate([("n_distinct", "sum"), ("min_t", "min"), ("max_t", "max")])
 
 
 def _span(run: np.ndarray, lo: int, hi: int | None) -> slice:
@@ -183,27 +190,23 @@ def _atomic_write(path: str, write) -> None:
     os.replace(tmp, path)
 
 
-def write_sidecars(state: dict, sidecar_dir: str, pid: str, prev: tuple | None = None) -> tuple:
-    """Write partition ``pid``'s key state (:func:`prep_state`) as its two
-    sidecars; ``prev`` is the ``(key run, partials)`` pair of the partition's
-    already-validated prefix, merged in. Returns ``(key run path, partials
-    path, digest of the sorted keys)``.
+def write_sidecars(state: dict, sidecar_dir: str, pid: str) -> tuple:
+    """Write partition ``pid``'s key state (:func:`prep_state`, built from
+    the whole partition) as its two sidecars: the sorted key run and the
+    partials sorted by ``h``. Returns ``(key run path, partials path, digest
+    of the sorted keys)``.
 
     The files are content-addressed: a delta revalidation writes NEW files,
     so the prior record's sidecars stay intact until the new record is
     durable (the driver prunes superseded ones only after the record write,
     :func:`prune_sidecars`) — a crash anywhere leaves a consistent (record,
     sidecars) pair to resume from."""
-    keys, convs = state["keys"], [state["conv"]]
-    if prev:
-        keys = np.concatenate([_key_run(prev[0]), keys])
-        convs.insert(0, _partials_run(prev[1]).to_pandas())
-    keys = np.sort(keys)
+    keys = np.sort(state["keys"])
     digest = hashlib.sha256(keys.tobytes()).hexdigest()
     stem = os.path.join(sidecar_dir, f"{pid}-{digest[:12]}")
     os.makedirs(sidecar_dir, exist_ok=True)
     _atomic_write(stem + ".bin", keys.tofile)
-    partials = conv_partials_table(merge_conv_partials(convs))
+    partials = conv_partials_table(state["conv"])
 
     def write_ipc(tmp: str) -> None:
         with pa.ipc.new_file(tmp, PARTIALS_SCHEMA) as w:
@@ -278,11 +281,7 @@ def _verify_partition(part: tuple, dup_hashes: np.ndarray, convs: np.ndarray, co
     turn = pc.fill_null(tbl["turn_idx"].cast(pa.int64()), -1)  # match prep_state's sentinel
     keep = pc.is_in(conv, value_set=pa.array(convs, pa.string())).to_numpy(zero_copy_only=False)
     if len(dup_hashes):
-        # hash_key, with each distinct conversation hashed once (a null id
-        # takes the appended slot; null and empty ids are unkeyed anyway)
-        enc = pc.dictionary_encode(conv).combine_chunks()
-        conv_h = np.r_[hash_strings(enc.dictionary.to_numpy(zero_copy_only=False)), np.uint64(0)]
-        h = combine(conv_h[enc.indices.fill_null(len(enc.dictionary)).to_numpy()], turn.to_numpy())
+        h = hash_key(conv, turn)
         keyed = pc.fill_null(pc.not_equal(conv, ""), False).to_numpy(zero_copy_only=False)
         keep |= keyed & _member_mask(dup_hashes, h)
     return pa.table({"conv_id": conv.filter(keep), "turn_idx": turn.filter(keep).cast(pa.int32(), safe=False)})
@@ -319,12 +318,10 @@ def find_dup_hashes(key_runs: list, lo: int = 0, hi: int | None = None) -> np.nd
 
 def _gap_orphan_candidates(partials: list, lo: int, hi: int | None, member) -> tuple:
     """(gap conversations, orphan conversations) with ``h`` in ``[lo, hi)``:
-    that range of every partials sidecar, merged exactly by ``conv_id`` (an
-    Arrow hash aggregate, the sums and bounds of :func:`merge_conv_partials`)
-    and flagged. ``member`` is the index membership test
-    (:func:`_membership_checker`)."""
-    tbl = pa.concat_tables([PARTIALS_SCHEMA.empty_table(), *(_partials_run(p, lo, hi) for p in partials)])
-    summ = tbl.group_by("conv_id").aggregate([("n_distinct", "sum"), ("min_t", "min"), ("max_t", "max")])
+    that range of every partials sidecar, merged exactly by ``conv_id``
+    (:func:`merge_conv_partials`) and flagged. ``member`` is the index
+    membership test (:func:`_membership_checker`)."""
+    summ = merge_conv_partials([_partials_run(p, lo, hi) for p in partials])
     conv = summ["conv_id"]
     gap = pc.or_(
         pc.not_equal(summ["min_t_min"], 0),

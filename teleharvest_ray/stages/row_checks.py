@@ -49,16 +49,27 @@ from ..functions.hashing import hash_strings
 from ..schema import METRIC_COLUMNS
 
 
-def build_conv_last(conv_values, turns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-conversation max turn as (sorted uint64 conv-hash array, max-turn
+def conv_max_turn(tbl: pa.Table) -> pa.Table:
+    """Per-conversation max turn of a ``(conv_id, turn_idx)`` table as an
+    Arrow ``(conv_id, turn_idx)`` table: one hash aggregate, null ids
+    dropped, the max taken over non-null turns (null when a conversation has
+    none)."""
+    keyed = tbl.select(["conv_id", "turn_idx"]).filter(pc.is_valid(tbl["conv_id"]))
+    g = keyed.group_by("conv_id").aggregate([("turn_idx", "max")])
+    return pa.table({"conv_id": g["conv_id"], "turn_idx": g["turn_idx_max"]})
+
+
+def build_conv_last(tbl: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+    """Per-conversation max turn of a ``(conv_id, turn_idx)`` table
+    (:func:`conv_max_turn`) as (sorted uint64 conv-hash array, max-turn
     array) — the file-local last-turn-exemption map. A sorted-array pair
     costs ~12 bytes/conversation vs ~100+ for the equivalent Python dict
     (several-million-conv files were the validator's heaviest transient).
     Colliding hashes (≈2^-64 per pair, file-local blast radius) keep the max
     of the union — same direction as the dict's key-union semantics."""
-    g = pd.Series(np.asarray(turns)).groupby(np.asarray(conv_values, dtype=object)).max()
-    kh = hash_strings(np.asarray(g.index, dtype=object))
-    mx = g.to_numpy()
+    g = conv_max_turn(tbl)
+    kh = hash_strings(g["conv_id"].to_numpy())
+    mx = g["turn_idx"].to_numpy()
     order = np.argsort(kh)
     kh, mx = kh[order], mx[order]
     if len(kh) > 1:  # fold hash duplicates to the max turn of the collision set

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 
 import pandas as pd
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -196,7 +197,11 @@ def test_gap_orphan_candidates_by_range_match_whole(tmp_path):
             rows[i % 2].append((c, n, start, start + n - 1, n))
     cols = ["conv_id", "n_distinct", "min_t", "max_t", "n_rows"]
     partials = [
-        write_sidecars({"keys": np.empty(0, np.uint64), "conv": pd.DataFrame(r, columns=cols)}, str(tmp_path), f"p{i}")[1]
+        write_sidecars(
+            {"keys": np.empty(0, np.uint64), "conv": pa.Table.from_pandas(pd.DataFrame(r, columns=cols))},
+            str(tmp_path),
+            f"p{i}",
+        )[1]
         for i, r in enumerate(rows)
     ]
     known = convs[:250]  # last 50 are orphans
@@ -331,3 +336,67 @@ def test_phase2_reads_only_candidate_partitions(ray_session, keyspace_sidecars, 
         garble(f)
     key = lambda r: (r["conv_id"], r["turn_idx"], r["check_id"])
     assert sorted(keyspace_from_states(parts, idx).to_pylist(), key=key) == sorted(want, key=key)
+
+
+def _prep_state_reference(tbl):
+    """The pandas key state the Arrow ``prep_state`` replaced: per-row
+    ``hash_key`` over an object array and one pandas groupby, then the
+    partials table built through a DataFrame."""
+    import numpy as np
+
+    from teleharvest_ray.functions.hashing import combine, hash_strings
+    from teleharvest_ray.stages.keyspace import PARTIALS_SCHEMA
+
+    conv = np.asarray(tbl["conv_id"].to_pandas(), dtype=object)
+    turn = tbl["turn_idx"].to_numpy(zero_copy_only=False)
+    turn = np.where(pd.isna(turn), -1, turn).astype(np.int64)
+    ok = pd.notna(conv) & (conv != "")
+    conv, turn = conv[ok], turn[ok]
+    df = pd.DataFrame({"conv_id": conv, "turn_idx": turn})
+    c = df.groupby("conv_id", sort=False)["turn_idx"].agg(["nunique", "min", "max", "size"]).reset_index()
+    c.columns = ["conv_id", "n_distinct", "min_t", "max_t", "n_rows"]
+    c = c.assign(h=hash_strings(c["conv_id"].to_numpy(object))).sort_values("h", kind="stable")
+    partials = pa.Table.from_pandas(c, schema=PARTIALS_SCHEMA, preserve_index=False).replace_schema_metadata()
+    return combine(hash_strings(conv), turn.view(np.uint64)), partials
+
+
+def _ipc_bytes(tbl) -> bytes:
+    from teleharvest_ray.stages.keyspace import PARTIALS_SCHEMA
+
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_file(sink, PARTIALS_SCHEMA) as w:
+        w.write_table(tbl)
+    return sink.getvalue().to_pybytes()
+
+
+def test_arrow_key_state_matches_pandas_reference():
+    """``prep_state``, ``conv_partials_table`` and ``hash_key`` equal the
+    pandas code they replaced, and the partials serialize to the same bytes,
+    over null and empty ids, null and negative turns, duplicate keys,
+    non-ASCII ids, a multi-chunk table and an empty table."""
+    import numpy as np
+
+    from teleharvest_ray.stages.keyspace import conv_partials_table, prep_state
+
+    rng = np.random.default_rng(3)
+    n = 4000
+    ids = np.array(["a", "b", "", None, "é-ü", "日本語", "c" * 40], dtype=object)
+    turn = rng.integers(-4, 25, n).astype(object)
+    turn[rng.random(n) < 0.05] = None
+    tbl = pa.table(
+        {"conv_id": pa.array(rng.choice(ids, n), pa.string()), "turn_idx": pa.array(turn.tolist(), pa.int32())}
+    )
+    cases = {
+        "mixed": tbl,
+        "multi-chunk": pa.concat_tables([tbl.slice(0, 700), tbl.slice(700, 2000), tbl.slice(2700)]),
+        "empty": tbl.slice(0, 0),
+        "unkeyed only": pa.table({"conv_id": pa.array([None, ""], pa.string()), "turn_idx": pa.array([1, None], pa.int32())}),
+    }
+    assert cases["multi-chunk"]["conv_id"].num_chunks == 3
+    for name, case in cases.items():
+        state = prep_state(case)
+        want_keys, want_partials = _prep_state_reference(case)
+        assert np.array_equal(state["keys"], want_keys), name
+        partials = conv_partials_table(state["conv"])
+        assert partials.equals(want_partials), name
+        assert _ipc_bytes(partials) == _ipc_bytes(want_partials), name

@@ -14,7 +14,8 @@ import pytest
 
 from teleharvest_ray.config import ValidationConfig
 from teleharvest_ray.sources.datagen import GenSpec, generate
-from teleharvest_ray.stages.row_checks import chain_violations, evaluate_chain
+from teleharvest_ray.functions.hashing import hash_strings
+from teleharvest_ray.stages.row_checks import build_conv_last, chain_violations, evaluate_chain
 
 CHAIN_IDS = {
     "text_missing", "conv_id_missing", "text_too_short", "stop_word",
@@ -143,6 +144,43 @@ def test_last_row_er_exemption():
     ann = evaluate_chain(t, ValidationConfig())
     ff = ann["first_failing_check"].to_pylist()
     assert ff[0] == "low_engagement" and ff[1] is None
+
+
+def _conv_last_reference(conv_values, turns):
+    """The pandas groupby that built the last-turn map before the Arrow
+    kernel: per-conversation max over non-null turns, null ids dropped."""
+    g = pd.Series(np.asarray(turns)).groupby(np.asarray(conv_values, dtype=object)).max()
+    kh = hash_strings(np.asarray(g.index, dtype=object))
+    order = np.argsort(kh)
+    return kh[order], g.to_numpy()[order]
+
+
+def test_last_turn_exemption_with_null_and_negative_turns():
+    """A conversation whose turns are a null and only negative values: its
+    last turn is the max of the non-null turns (-1), as the pandas groupby
+    had it, so only that row is exempt from the ER check; a conversation
+    with only a null turn has no last turn."""
+    base = " ".join(f"word{i}" for i in range(60))
+    n = 5
+    t = pa.table(
+        {
+            "conv_id": pa.array(["c1", "c1", "c1", "c2", None], pa.string()),
+            "turn_idx": pa.array([None, -3, -1, None, 0], pa.int32()),
+            "role": ["user"] * n, "text": [base] * n, "tool": [None] * n,
+            "ts": pa.array(range(n), pa.timestamp("us")),
+            "views": pa.array([5000] * n, pa.int64()),
+            "reactions": pa.array([1] * n, pa.int64()),
+            "forwards": pa.array([0] * n, pa.int64()),
+        }
+    )
+    conv_last = build_conv_last(t)
+    want = _conv_last_reference(t["conv_id"].to_pandas(), t["turn_idx"].to_numpy(zero_copy_only=False))
+    for got_part, want_part in zip(conv_last, want):
+        np.testing.assert_array_equal(got_part, want_part)
+    ff = evaluate_chain(t, ValidationConfig(), conv_last=conv_last)["first_failing_check"].to_pylist()
+    assert ff == ["low_engagement", "low_engagement", None, "low_engagement", "conv_id_missing"]
+    # the batch-local path (no map passed) agrees
+    assert evaluate_chain(t, ValidationConfig())["first_failing_check"].to_pylist() == ff
 
 
 def test_er_low_views_exempt():

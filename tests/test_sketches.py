@@ -4,10 +4,22 @@ order-independence (HLL/Histogram)."""
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
+import pyarrow as pa
 import pytest
 
-from teleharvest_ray.functions.hashing import hash_key, hash_strings, splitmix64
+from teleharvest_ray.functions.hashing import combine, hash_key, hash_strings, splitmix64
 from teleharvest_ray.functions.sketches import HistogramSketch, HyperLogLog, KLLSketch
+
+
+#: null, empty, non-ASCII and repeated ids
+_IDS = ["a", None, "", "é-ü", "日本語", "a", "b"]
+
+
+def _siphash(values) -> np.ndarray:
+    """pandas' SipHash over the ids, nulls as the ``"\x00<null>"`` sentinel."""
+    arr = np.array(["\x00<null>" if v is None else v for v in values], dtype=object)
+    return pd.util.hash_array(arr, categorize=False).astype(np.uint64)
 
 
 def test_hash_strings_deterministic_and_distinct():
@@ -16,6 +28,14 @@ def test_hash_strings_deterministic_and_distinct():
     assert (a == b).all()
     assert a[0] == a[2] and a[0] != a[1]
     assert a[3] != a[0]
+    want = _siphash(_IDS)
+    obj = np.array(_IDS, dtype=object)
+    obj_nan = obj.copy()
+    obj_nan[1] = np.nan
+    inputs = (_IDS, obj, obj_nan, pd.Series(_IDS), pa.array(_IDS), pa.chunked_array([_IDS[:3], _IDS[3:]]))
+    for values in inputs:
+        assert (hash_strings(values) == want).all(), type(values)
+    assert (obj == np.array(_IDS, dtype=object)).all()  # the input is not written to
 
 
 def test_hash_key_composite():
@@ -23,6 +43,15 @@ def test_hash_key_composite():
     assert h1[0] != h1[1]  # turn_idx participates → hot conv spreads
     h2 = hash_key(["c1"], [0])
     assert h1[0] == h2[0]
+    # per row: the id's hash mixed with the turn, a null turn as -1, over
+    # list, object-array and multi-chunk Arrow inputs
+    turns = [0, 1, None, -2, 3, 0, 5]
+    t = np.array([-1 if v is None else v for v in turns], dtype=np.int64)
+    want = combine(_siphash(_IDS), t.view(np.uint64))
+    arrow = (pa.chunked_array([_IDS[:2], _IDS[2:]]), pa.chunked_array([turns[:4], turns[4:]], pa.int32()))
+    for conv, turn in ((_IDS, turns), (np.array(_IDS, dtype=object), np.array(turns, dtype=object)), arrow):
+        assert (hash_key(conv, turn) == want).all()
+    assert len(hash_key(pa.chunked_array([], pa.string()), pa.chunked_array([], pa.int32()))) == 0
 
 
 def test_splitmix_bijective_spread():

@@ -79,8 +79,9 @@ def test_fresh_rerun_is_deterministic(ray_session, dataset, tmp_path):
 def test_incremental_append_revalidates_only_delta(ray_session, tmp_path):
     """Row-level incremental ingest (the reference's watermark semantics):
     after rows are appended to a validated partition, a resume revalidates
-    ONLY the delta, merges sketch/keyspace state, and the final violation
-    set equals a from-scratch run over the grown data."""
+    ONLY the delta's rows, merges the sketch, rebuilds the key state from the
+    whole partition, and the final violation set equals a from-scratch run
+    over the grown data."""
     import glob as _glob
 
     import numpy as np
@@ -95,7 +96,7 @@ def test_incremental_append_revalidates_only_delta(ray_session, tmp_path):
     p = os.path.join(d, "part-00002.parquet")
     old = pq.read_table(p)
     # pick an existing (conv, turn 0) of this partition to duplicate — the
-    # dup spans prefix↔delta, so catching it REQUIRES the merged key state
+    # dup spans prefix↔delta, so catching it REQUIRES whole-partition key state
     dup_conv = old["conv_id"][0].as_py()
     longtext = "ok " * 100
     ap = pd.DataFrame(
@@ -131,6 +132,47 @@ def test_incremental_append_revalidates_only_delta(ray_session, tmp_path):
     # exactly one sidecar blob per partition survives (superseded one pruned)
     blobs = _glob.glob(os.path.join(out, "keyspace", "part-00002-*.bin"))
     assert len(blobs) == 1
+
+
+def test_delta_repeating_a_prefix_key_rebuilds_sidecars_whole(ray_session, tmp_path):
+    """A delta whose rows repeat prefix keys writes the key run and partials
+    a from-scratch run over the grown file writes, byte for byte — the
+    partials' n_distinct counts each key once, not once per scan — and the
+    same violations."""
+    import filecmp
+
+    import pyarrow as pa
+
+    from teleharvest_ray.state.checkpoint import CheckpointStore
+
+    d = str(tmp_path / "rep")
+    generate(d, GenSpec(n_convs=40, n_files=2, seed=41))
+    out = str(tmp_path / "rep_out")
+    run_validation(d, out, ValidationConfig(), write_annotated=False)
+    p = os.path.join(d, "part-00001.parquet")
+    old = pq.read_table(p)
+    pq.write_table(pa.concat_tables([old, old.slice(0, 3)]), p)
+    s = run_validation(d, out, ValidationConfig(), write_annotated=False)
+    assert s["n_validated_now"] == 1 and s["rows_scanned"] == sum(
+        pq.ParquetFile(os.path.join(d, f"part-0000{i}.parquet")).metadata.num_rows for i in (0, 1)
+    )
+    ctl = str(tmp_path / "rep_ctl")
+    run_validation(d, ctl, ValidationConfig(), write_annotated=False)
+
+    def sidecars(root):
+        rec = CheckpointStore(os.path.join(root, "checkpoints")).read("part-00001")
+        return rec["keyspace_blob"], rec["keyspace_partials"]
+
+    for got, want in zip(sidecars(out), sidecars(ctl)):
+        assert os.path.basename(got) == os.path.basename(want)
+        assert filecmp.cmp(got, want, shallow=False), got
+    assert _vio_set(read_violations(out)) == _vio_set(read_violations(ctl))
+
+    def global_rows(root):
+        t = pq.read_table(os.path.join(root, "violations", "_global.parquet"))
+        return t.sort_by([(c, "ascending") for c in ("check_id", "conv_id", "turn_idx")])
+
+    assert global_rows(out).equals(global_rows(ctl))
 
 
 def test_capability_probe_disables_scoring(ray_session, tmp_path):
