@@ -72,7 +72,7 @@ def validate_transcripts(sf_dir: str) -> pd.DataFrame:
     out = os.path.join(_OUT_ROOT, os.path.basename(data))
     shutil.rmtree(out, ignore_errors=True)
     # violations + lineage/metrics are the required outputs; the annotated
-    # row-level copy is an optional materialization (skip it here)
+    # chain columns are optional and not read here
     run_validation(data, out, ValidationConfig(), write_annotated=False)
     vio = read_violations(out)
     return vio.sort_values(["check_id", "conv_id", "turn_idx"]).reset_index(drop=True)

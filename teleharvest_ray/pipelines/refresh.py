@@ -5,9 +5,12 @@
 the unpublished backlog (rows with an embedding) as the published set evolves.
 Recast: given a (new) ReferenceProfile, recompute ``similarity_score`` for
 annotated rows that reached the embedding-proxy stage (``token_count`` not
-null — the "has embedding" predicate, ``models/message.py:128-141``), by
-copy-on-write rewrite of each annotated partition file (the S4 "row update
-sink" at scale: re-emit the partition, never point-update).
+null — the "has embedding" predicate, ``models/message.py:128-141``). The
+eligible rows' ``alt`` text comes from :func:`~.validate.read_annotated`
+(rebuilt from the input, or stored when a non-builtin scorer made it), and
+the annotated file, which holds only the chain columns, is rewritten
+copy-on-write (the S4 "row update sink" at scale: re-emit the partition,
+never point-update).
 
 **refresh_metrics** — EP3 ``fetch_and_update_metrics`` (``main.py:29`` →
 ``processor.py:65-71``): the reference re-scans a bounded historical window
@@ -41,28 +44,30 @@ from ..config import ValidationConfig
 from ..functions import textfuncs as tf
 from ..state.checkpoint import atomic_write_parquet
 from ..state.profile import ReferenceProfile
-from .validate import release_pool
+from .validate import read_annotated, release_pool
 
 
 def _map_partitions(items: list, actor_cls, args: tuple) -> pd.DataFrame:
     """One actor per CPU of the session (at most one per item) maps
     ``actor_cls`` over ``items``, one item per call. The pool is released
-    before returning (:func:`~.validate.release_pool`)."""
+    before returning or raising (:func:`~.validate.release_pool`)."""
     n_cpus = int(ray.cluster_resources().get("CPU", 0))
     if not n_cpus:
         raise RuntimeError("the Ray session has no CPUs to run refreshers on")
     free_cpus = ray.available_resources().get("CPU", 0)
-    ds = rd.from_items(items).map_batches(
-        actor_cls,
-        fn_constructor_args=args,
-        batch_size=1,
-        concurrency=max(1, min(len(items), n_cpus)),
-        batch_format="pandas",
-    )
-    res = ds.to_pandas()
-    del ds
-    release_pool(free_cpus)
-    return res
+    try:
+        ds = rd.from_items(items).map_batches(
+            actor_cls,
+            fn_constructor_args=args,
+            batch_size=1,
+            concurrency=max(1, min(len(items), n_cpus)),
+            batch_format="pandas",
+        )
+        return ds.to_pandas()
+    finally:
+        # also on a raise, whose traceback keeps this frame's locals
+        ds = None
+        release_pool(free_cpus)
 
 
 class SimilarityRefresher:
@@ -85,7 +90,8 @@ class SimilarityRefresher:
         n_elig = int(eligible.sum())
         if n_elig:
             idx = np.flatnonzero(eligible)
-            alt = tbl["alt"].combine_chunks().take(pa.array(idx))
+            pid = os.path.splitext(os.path.basename(path))[0]
+            alt = read_annotated(self.out_dir, pid)["alt"].combine_chunks().take(pa.array(idx))
             vecs = tf.hashed_bow(alt)
             sims = tf.max_cosine(vecs, self.profile.exemplars)
             new_sim = tbl["similarity_score"].to_numpy(zero_copy_only=False).copy()

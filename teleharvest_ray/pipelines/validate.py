@@ -11,7 +11,10 @@ Ray Data:
   column stats, and the drift check, writes the partition's violation +
   annotated outputs atomically, and returns a lineage/metrics record. The
   driver streams these records into the checkpoint store as they complete —
-  a killed run resumes by replaying only partitions without a record.
+  a killed run resumes by replaying only partitions without a record. The
+  annotated file keeps only what the chain adds, one row per input row in
+  partition order; :func:`read_annotated` rebuilds the input columns and
+  the text rewrites from the input file.
 - **Phase 2 — key-space checks** (the PK/watermark discipline,
   ``models/message.py:34-36,75-89``): dup/seq/orphan violations from the
   sorted key-run and conversation-partial sidecars phase 1 wrote per
@@ -34,13 +37,17 @@ file-local scope (the reference's per-fetched-batch semantics,
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import glob
 import hashlib as _hashlib
 import os
+import sys
 import time
+import traceback
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
@@ -57,7 +64,13 @@ from ..stages.keyspace import (  # noqa: F401 — conv_partials_table, merge_con
     prune_sidecars,
     write_sidecars,
 )
-from ..stages.row_checks import build_conv_last, chain_violations, evaluate_chain
+from ..stages.row_checks import (
+    CHAIN_SCHEMA,
+    build_conv_last,
+    chain_violations,
+    evaluate_chain,
+    with_text_columns,
+)
 from ..stages.stats import (
     drift_check,
     merge_stats,
@@ -68,6 +81,15 @@ from ..stages.stats import (
 )
 from ..state.checkpoint import CheckpointStore, atomic_write_parquet
 from ..state.profile import ReferenceProfile, build_profile
+
+
+def _annotated_columns(cfg: ValidationConfig) -> list[str]:
+    """The columns of an annotated file: the row key and the chain columns,
+    less the text rewrites :func:`read_annotated` rebuilds from the input
+    (:func:`with_text_columns`). A non-builtin scorer's ``alt`` cannot be
+    rebuilt, so it is kept."""
+    drop = ("text_norm", "alt") if cfg.scorer == "builtin" else ("text_norm",)
+    return ["conv_id", "turn_idx"] + [c for c in CHAIN_SCHEMA.names if c not in drop]
 
 
 class PartitionValidator:
@@ -159,6 +181,9 @@ class PartitionValidator:
         # heaviest per-task transient at multi-million-conv files
         conv_last = build_conv_last(kt.slice(start_row))
         ks = prep_state(kt)
+        # annotated rows keep only what the chain adds, narrowed per row
+        # group so the wide table never exists whole
+        keep = _annotated_columns(self.cfg)
         ann_parts, vio_parts, stats = [], [], None
         cum = 0
         for rg in range(pf.num_row_groups):
@@ -171,14 +196,14 @@ class PartitionValidator:
                 tbl_g = tbl_g.slice(start_row - cum)
             cum += n_rg
             ann_g = evaluate_chain(tbl_g, self.cfg, self.profile.exemplars, conv_last=conv_last)
-            ann_parts.append(ann_g)
             vio_parts.append(chain_violations(ann_g))
+            ann_parts.append(ann_g.select(keep))
             s = partition_stats(tbl_g, self.cfg)
             stats = s if stats is None else merge_stats(stats, s)
         if stats is None:  # zero row groups (or an empty delta)
             empty = pf.schema_arrow.empty_table()
-            ann_parts = [evaluate_chain(empty, self.cfg, self.profile.exemplars)]
-            vio_parts = [chain_violations(ann_parts[0])]
+            ann_g = evaluate_chain(empty, self.cfg, self.profile.exemplars)
+            ann_parts, vio_parts = [ann_g.select(keep)], [chain_violations(ann_g)]
             stats = partition_stats(empty, self.cfg)
         ann = pa.concat_tables(ann_parts)
         vio = pa.concat_tables(vio_parts)
@@ -228,16 +253,26 @@ class PartitionValidator:
             # keep prior row-level violations; drift was recomputed above over
             # the merged stats, so stale drift rows are replaced, not doubled
             old_vio = pq.read_table(vio_path)
-            import pyarrow.compute as _pc
-
-            old_vio = old_vio.filter(_pc.not_equal(old_vio["check_id"], "drift"))
+            old_vio = old_vio.filter(pc.not_equal(old_vio["check_id"], "drift"))
             vio = pa.concat_tables([old_vio, vio])
         atomic_write_parquet(vio, vio_path)
         if self.write_annotated:
             ann_path = os.path.join(self.out_dir, "annotated", f"{pid}.parquet")
-            if start_row and os.path.exists(ann_path):
-                ann = pa.concat_tables([pq.read_table(ann_path), ann])
-            atomic_write_parquet(ann, ann_path)
+            if start_row:
+                # row i of the file is row i of the partition: prepend the
+                # validated prefix (narrowed, if an older run wrote it wide;
+                # cut to start_row, if a killed scan already appended this
+                # delta), or drop the file when an earlier scan left rows of
+                # the prefix unannotated
+                prefix = pq.read_table(ann_path, columns=keep) if os.path.exists(ann_path) else None
+                if prefix is None or prefix.num_rows < start_row:
+                    ann = None
+                else:
+                    ann = pa.concat_tables([prefix.slice(0, start_row), ann])
+            if ann is not None:
+                atomic_write_parquet(ann, ann_path)
+            elif os.path.exists(ann_path):
+                os.unlink(ann_path)
         return {
             "partition_id": pid,
             "rows_scanned": prev_rows + delta_rows,
@@ -247,7 +282,7 @@ class PartitionValidator:
             "keyspace_partials": partials_path,
             "keyspace_blob": blob_path,
             "keyspace_digest": blob_digest,
-            "input_file": path,
+            "input_file": os.path.abspath(path),
             "input_size": st_pre.st_size,
             "input_mtime": st_pre.st_mtime,
             "wall_s": round(time.perf_counter() - t0, 4),
@@ -259,12 +294,35 @@ class PartitionValidator:
 _POOL_RELEASE_WAIT_S = 30.0
 
 
+def _clear_finished_frames(err: BaseException | None) -> None:
+    """Clear the locals of every finished frame that ``err`` keeps alive:
+    the frames of its traceback and of its causes' and contexts'
+    tracebacks, and their callers. A failed Ray Data task's error carries,
+    as its context, a traceback from the executor's ended scheduling
+    thread, whose frames hold the executor and so its actor pool."""
+    seen = set()
+    while err is not None and id(err) not in seen:
+        seen.add(id(err))
+        for f, _ in traceback.walk_tb(err.__traceback__):
+            while f is not None:
+                with contextlib.suppress(RuntimeError):  # still executing
+                    f.clear()
+                f = f.f_back
+        err = err.__cause__ or err.__context__
+
+
 def release_pool(free_cpus: float) -> None:
     """Give a dropped Dataset's actor pool back to the session: collect it
     (an executed Dataset sits in reference cycles), then wait, at most
     :data:`_POOL_RELEASE_WAIT_S`, until the session again has the
     ``free_cpus`` it had before the pool started. The actors exit
-    asynchronously, and the next stage or run needs their CPUs."""
+    asynchronously, and the next stage or run needs their CPUs.
+
+    Called from a ``finally`` block while an exception escapes, it first
+    clears the finished frames that the exception keeps
+    (:func:`_clear_finished_frames`); the caller drops its own references
+    to the Datasets."""
+    _clear_finished_frames(sys.exc_info()[1])
     gc.collect()
     deadline = time.monotonic() + _POOL_RELEASE_WAIT_S
     while ray.available_resources().get("CPU", 0) < free_cpus and time.monotonic() < deadline:
@@ -396,41 +454,44 @@ def run_validation(
         actor_cpus = min(cfg.validator_num_cpus, total_cpus)
         free_cpus = ray.available_resources().get("CPU", 0)
         conc = max(1, min(len(todo), int(free_cpus // actor_cpus)))
-        ds = rd.from_items(todo)
-        result = ds.map_batches(
-            PartitionValidator,
-            fn_constructor_args=(cfg, profile_ref, out_dir, write_annotated, on_error),
-            batch_size=1,
-            concurrency=conc,
-            num_cpus=actor_cpus,
-            batch_format="pandas",
-        )
-        # stream records into the checkpoint store as partitions finish
-        for batch in result.iter_batches(batch_size=1, batch_format="pyarrow"):
-            for rec in batch.to_pylist():
-                if rec.get("error"):
-                    # failed partition: surface it, write NO checkpoint
-                    # record (next run retries), keep the run going
-                    errors[rec["partition_id"]] = rec["error"]
-                    continue
-                store.write(rec["partition_id"], rec)
-                new_records.append(rec)
-                # the record is durable → superseded sidecar files can go
-                prune_sidecars(
-                    os.path.join(out_dir, "keyspace"),
-                    rec["partition_id"],
-                    {rec["keyspace_blob"], rec["keyspace_partials"]},
-                )
-        # per-stage execution stats (wall/cpu/memory per operator) for tuning
         try:
-            with open(os.path.join(out_dir, "ray_stats.txt"), "w") as fh:
-                fh.write(result.stats())
-        except Exception:
-            pass
-        # phase 2's tasks (and a second run in this session) need the
-        # pool's CPUs back
-        del ds, result
-        release_pool(free_cpus)
+            ds = rd.from_items(todo)
+            result = ds.map_batches(
+                PartitionValidator,
+                fn_constructor_args=(cfg, profile_ref, out_dir, write_annotated, on_error),
+                batch_size=1,
+                concurrency=conc,
+                num_cpus=actor_cpus,
+                batch_format="pandas",
+            )
+            # stream records into the checkpoint store as partitions finish
+            for batch in result.iter_batches(batch_size=1, batch_format="pyarrow"):
+                for rec in batch.to_pylist():
+                    if rec.get("error"):
+                        # failed partition: surface it, write NO checkpoint
+                        # record (next run retries), keep the run going
+                        errors[rec["partition_id"]] = rec["error"]
+                        continue
+                    store.write(rec["partition_id"], rec)
+                    new_records.append(rec)
+                    # the record is durable → superseded sidecar files can go
+                    prune_sidecars(
+                        os.path.join(out_dir, "keyspace"),
+                        rec["partition_id"],
+                        {rec["keyspace_blob"], rec["keyspace_partials"]},
+                    )
+            # per-stage execution stats (wall/cpu/memory per operator) for tuning
+            try:
+                with open(os.path.join(out_dir, "ray_stats.txt"), "w") as fh:
+                    fh.write(result.stats())
+            except Exception:
+                pass
+        finally:
+            # phase 2's tasks (and a second run in this session) need the
+            # pool's CPUs back, also when phase 1 raised: an escaping
+            # traceback keeps this frame's locals, so drop the Datasets first
+            ds = result = None
+            release_pool(free_cpus)
 
     all_records = {**done, **{r["partition_id"]: r for r in new_records}}
     # errored partitions contribute NO state anywhere downstream
@@ -521,6 +582,33 @@ def run_validation(
         "out_dir": out_dir,
     }
     return summary
+
+
+def read_annotated(out_dir: str, pid: str) -> pa.Table:
+    """Partition ``pid``'s annotated table as :func:`evaluate_chain` returned
+    it: the input columns, then the chain columns.
+
+    The annotated file stores only the row key and what the chain adds
+    (:func:`_annotated_columns`), row *i* for input row *i*. The input rows
+    come from the file the partition's checkpoint record names, and the text
+    rewrites are rebuilt from them (:func:`with_text_columns`). Rows appended
+    to the input since validation are not read. Raises ``ValueError`` when
+    the input's keys differ from the stored ones: the file was replaced."""
+    ann = pq.read_table(os.path.join(out_dir, "annotated", f"{pid}.parquet"))
+    rec = CheckpointStore(os.path.join(out_dir, "checkpoints")).read(pid)
+    if rec is None:
+        raise FileNotFoundError(f"no checkpoint record for {pid} under {out_dir}")
+    pf = pq.ParquetFile(rec["input_file"])
+    groups, n = [], 0
+    while n < ann.num_rows and len(groups) < pf.num_row_groups:
+        n += pf.metadata.row_group(len(groups)).num_rows
+        groups.append(len(groups))
+    inp = pf.read_row_groups(groups).slice(0, ann.num_rows)
+    if not (inp["conv_id"].equals(ann["conv_id"]) and inp["turn_idx"].equals(ann["turn_idx"])):
+        raise ValueError(
+            f"{rec['input_file']} no longer holds the rows annotated for {pid}: the file was replaced"
+        )
+    return with_text_columns(inp, ann)
 
 
 def read_violations(out_dir: str):

@@ -97,6 +97,28 @@ def _mask_where(values: pa.Array, keep: np.ndarray) -> pa.Array:
     return pc.if_else(pa.array(keep), values, pa.scalar(None, values.type))
 
 
+def _absent(values) -> np.ndarray:
+    """Null or empty string, as a bool mask (the P1/P2 presence failures)."""
+    m = pc.or_kleene(pc.is_null(values), pc.equal(values, "")).to_numpy(zero_copy_only=False)
+    return np.asarray(m, dtype=object) == True  # noqa: E712  (null→False)
+
+
+#: the columns :func:`evaluate_chain` appends to its input, in order
+CHAIN_SCHEMA = pa.schema(
+    [
+        ("text_norm", pa.string()),
+        ("er", pa.float64()),
+        ("score", pa.float64()),
+        ("alt", pa.string()),
+        ("score_alt", pa.float64()),
+        ("token_count", pa.float64()),
+        ("similarity_score", pa.float64()),
+        ("first_failing_check", pa.string()),
+        ("stop_word_hit", pa.string()),
+    ]
+)
+
+
 def evaluate_chain(
     tbl: pa.Table,
     cfg: ValidationConfig,
@@ -115,11 +137,9 @@ def evaluate_chain(
     conv = tbl["conv_id"]
 
     # P1 text presence
-    f_text = pc.or_kleene(pc.is_null(text), pc.equal(text, "")).to_numpy(zero_copy_only=False)
-    f_text = np.asarray(f_text, dtype=object) == True  # noqa: E712  (null→False)
+    f_text = _absent(text)
     # P2 conv presence
-    f_conv = pc.or_kleene(pc.is_null(conv), pc.equal(conv, "")).to_numpy(zero_copy_only=False)
-    f_conv = np.asarray(f_conv, dtype=object) == True  # noqa: E712
+    f_conv = _absent(conv)
 
     reached_norm = ~f_text & ~f_conv
 
@@ -267,18 +287,34 @@ def evaluate_chain(
 
 def _empty_annotated(tbl: pa.Table) -> pa.Table:
     out = tbl
-    for name, typ in (
-        ("text_norm", pa.string()),
-        ("er", pa.float64()),
-        ("score", pa.float64()),
-        ("alt", pa.string()),
-        ("score_alt", pa.float64()),
-        ("token_count", pa.float64()),
-        ("similarity_score", pa.float64()),
-        ("first_failing_check", pa.string()),
-        ("stop_word_hit", pa.string()),
-    ):
-        out = out.append_column(name, pa.nulls(0, typ))
+    for field in CHAIN_SCHEMA:
+        out = out.append_column(field, pa.nulls(0, field.type))
+    return out
+
+
+def with_text_columns(tbl: pa.Table, chain: pa.Table) -> pa.Table:
+    """:func:`evaluate_chain`'s output for ``tbl``, rebuilt from its chain
+    columns without ``text_norm`` (and without ``alt`` when the builtin
+    scorer made it). Row *i* of ``chain`` belongs to row *i* of ``tbl``.
+
+    Both are deterministic rewrites of the text. ``text_norm`` is the
+    normalized text of every row that reached P3. The builtin ``alt`` is
+    ``textfuncs.rewrite_alt`` of the normalized text of every row that P10
+    scored, the rows with a valid ``score_alt``. A stored ``alt`` column is
+    used as it is."""
+    n = tbl.num_rows
+    text = tbl["text"].combine_chunks()
+    norm = tf.normalize_trailing_links(text)
+    cols = {"text_norm": _mask_where(norm, ~_absent(text) & ~_absent(tbl["conv_id"]))}
+    if "alt" not in chain.column_names:
+        idx = np.flatnonzero(pc.is_valid(chain["score_alt"]).to_numpy(zero_copy_only=False))
+        alt = np.full(n, None, dtype=object)
+        if len(idx):
+            alt[idx] = tf.rewrite_alt(norm.take(pa.array(idx))).to_numpy(zero_copy_only=False)
+        cols["alt"] = pa.array(alt, pa.string())
+    out = tbl
+    for field in CHAIN_SCHEMA:
+        out = out.append_column(field.name, cols[field.name] if field.name in cols else chain[field.name])
     return out
 
 

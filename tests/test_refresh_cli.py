@@ -57,6 +57,30 @@ def test_refresh_similarity_updates_eligible_rows(validated, ray_session):
     pd.testing.assert_series_equal(ann_after.similarity_score, ann_again.similarity_score)
 
 
+def test_failed_refresh_releases_session_cpus(ray_session, cpus_free, tmp_path):
+    """A refresh whose map raises still gives every session CPU back before
+    the error reaches the caller. The automatic collector is off, so it
+    cannot free the pool by chance."""
+    import gc
+
+    import ray
+
+    d, out = str(tmp_path / "data"), str(tmp_path / "out")
+    generate(d, GenSpec(n_convs=30, n_files=3, seed=8, plant=False))
+    run_validation(d, out, ValidationConfig(), write_annotated=False)
+    with open(os.path.join(d, "part-00001.parquet"), "wb") as fh:
+        fh.write(b"not a parquet file")
+    gc.collect()  # pools other tests left to the garbage collector
+    assert cpus_free(), ray.available_resources()
+    gc.disable()
+    try:
+        with pytest.raises(Exception):
+            refresh_metrics(d, out, ValidationConfig())
+        assert cpus_free(timeout_s=5.0), ray.available_resources()
+    finally:
+        gc.enable()
+
+
 def test_refresh_metrics_window(validated, ray_session, tmp_path):
     data, out = validated
     before = read_violations(out)

@@ -405,3 +405,26 @@ def test_compare_runs_detects_distribution_shift(ray_session, tmp_path):
     shifted = compare_runs(o1, o2)
     assert shifted["role_chi2"] > same["role_chi2"] or shifted["text_len_ks"] > same["text_len_ks"]
     assert shifted["rows_a"] == same["rows_a"]
+
+
+def test_failed_run_releases_session_cpus(ray_session, cpus_free, tmp_path):
+    """A run whose phase 1 raises still gives every session CPU back before
+    the error reaches the caller: the pool is released on every exit path.
+    The automatic collector is off, so it cannot free the pool by chance."""
+    import gc
+
+    import ray
+
+    d = str(tmp_path / "corrupt")
+    generate(d, GenSpec(n_convs=30, n_files=3, seed=8, plant=False))
+    with open(os.path.join(d, "part-00001.parquet"), "wb") as fh:
+        fh.write(b"not a parquet file")
+    gc.collect()  # pools other tests left to the garbage collector
+    assert cpus_free(), ray.available_resources()
+    gc.disable()
+    try:
+        with pytest.raises(Exception):
+            run_validation(d, str(tmp_path / "out"), ValidationConfig(), write_annotated=False)
+        assert cpus_free(timeout_s=5.0), ray.available_resources()
+    finally:
+        gc.enable()
