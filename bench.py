@@ -251,7 +251,7 @@ def big_run() -> None:
     shutil.rmtree(out, ignore_errors=True)
     calib_pre, calib_gated = _wait_quiet()
     t0 = time.perf_counter()
-    run_validation(data, out, ValidationConfig(), write_annotated=False)
+    run_validation(data, out, ValidationConfig())
     wall = round(time.perf_counter() - t0, 3)
     n_rows = json.load(open(os.path.join(data, "manifest.json")))["n_rows"]
     print(json.dumps({"value": wall, "rows": n_rows, "num_cpus": num_cpus,

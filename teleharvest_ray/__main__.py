@@ -38,7 +38,6 @@ def main(argv=None):
     v.add_argument("--data", required=True)
     v.add_argument("--out", required=True)
     v.add_argument("--no-resume", action="store_true")
-    v.add_argument("--no-annotated", action="store_true")
     v.add_argument(
         "--skip-errors",
         action="store_true",
@@ -136,7 +135,6 @@ def main(argv=None):
                 args.out,
                 cfg,
                 resume=not args.no_resume,
-                write_annotated=not args.no_annotated,
                 on_error="skip" if args.skip_errors else "raise",
             )
             print(json.dumps(s, default=str))

@@ -4,8 +4,8 @@ The reference externalizes every behavioural threshold through env settings
 (``settings.py:8-21``): min_len=200, min_views=50, min_er=0.025, min_score=80,
 min_score_alt=85, a comma-split stop-word list (``settings.py:17-21``) and
 channel list. We keep the same knobs (same defaults) as a plain dataclass,
-plus the target-only knobs the north_rule adds (orphan-index size, drift
-thresholds, sketch precision).
+plus the target-only knobs the north_rule adds (drift thresholds, sketch
+precision).
 """
 
 from __future__ import annotations
@@ -40,10 +40,6 @@ class ValidationConfig:
     scorer: str = "builtin"
 
     # --- target-only knobs (north_rule) ---
-    # Above this index size the orphan check swaps the index's Arrow id column
-    # (an is_in probe) for a Bloom filter (one-sided error: never falsely
-    # flags an orphan).
-    orphan_bloom_threshold: int = 5_000_000
     # Drift thresholds on the *statistics* (not p-values; scipy-free).
     drift_chi2_threshold: float = 0.2  # normalized chi-square / n
     drift_ks_threshold: float = 0.15  # KS ECDF max distance

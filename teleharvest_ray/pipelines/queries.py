@@ -71,9 +71,7 @@ def validate_transcripts(sf_dir: str) -> pd.DataFrame:
     data = synth_transcripts(sf_dir)
     out = os.path.join(_OUT_ROOT, os.path.basename(data))
     shutil.rmtree(out, ignore_errors=True)
-    # violations + lineage/metrics are the required outputs; the annotated
-    # chain columns are optional and not read here
-    run_validation(data, out, ValidationConfig(), write_annotated=False)
+    run_validation(data, out, ValidationConfig())
     vio = read_violations(out)
     return vio.sort_values(["check_id", "conv_id", "turn_idx"]).reset_index(drop=True)
 
@@ -82,7 +80,7 @@ def transcript_stats(sf_dir: str) -> pd.DataFrame:
     data = synth_transcripts(sf_dir)
     out = os.path.join(_OUT_ROOT, os.path.basename(data) + "_stats")
     shutil.rmtree(out, ignore_errors=True)
-    s = run_validation(data, out, ValidationConfig(), write_annotated=False)
+    s = run_validation(data, out, ValidationConfig())
     cs = s["column_stats"]
     return pd.DataFrame(
         [
@@ -183,20 +181,16 @@ def q_validate_violations(sf_dir: str) -> pd.DataFrame:
 def _vv_pipeline(sf_dir: str):
     """Shared front of the flagship queries: derived transcript stream +
     the broadcast per-conversation max-turn map (per-batch Arrow partials
-    through the validator's own kernel → tiny groupby → ``ray.put``) + the
+    through the validator's own kernel, gathered and folded by
+    ``build_conv_last``, which takes the max again → ``ray.put``) + the
     default config."""
     from ..stages.row_checks import build_conv_last, conv_max_turn
 
     cfg = ValidationConfig()
     ds = rd.read_parquet(_p(sf_dir, "documents"), columns=["doc_id", "text"])
     derived = ds.map_batches(derive_transcript, batch_format="pyarrow", batch_size=None)
-    conv_max = (
-        derived.map_batches(conv_max_turn, batch_format="pyarrow", batch_size=None)
-        .repartition(2)
-        .groupby("conv_id")
-        .aggregate(Max("turn_idx", alias_name="turn_idx"))
-    )
-    conv_last = build_conv_last(pa.concat_tables(_ray.get(conv_max.to_arrow_refs())))
+    partials = derived.map_batches(conv_max_turn, batch_format="pyarrow", batch_size=None)
+    conv_last = build_conv_last(pa.concat_tables(_ray.get(partials.to_arrow_refs())))
     return derived, _ray.put(conv_last), cfg
 
 
@@ -242,7 +236,7 @@ def q_validate_partition_report(sf_dir: str) -> pd.DataFrame:
     oracle-backed over the derived transcript: shard = doc_id // 100,
     violations = chain failures + metrics_missing rows. Per-batch partials →
     one tiny groupby; the violation rows themselves never ship."""
-    from ..stages.row_checks import evaluate_chain
+    from ..stages.row_checks import evaluate_chain, metrics_missing
 
     derived, conv_ref, cfg = _vv_pipeline(sf_dir)
 
@@ -251,10 +245,7 @@ def q_validate_partition_report(sf_dir: str) -> pd.DataFrame:
         did = ann["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         shard = did // 100
         ff = np.asarray(ann["first_failing_check"].to_pandas(), dtype=object)
-        views = ann["views"].to_numpy(zero_copy_only=False).astype(np.float64)
-        reac = ann["reactions"].to_numpy(zero_copy_only=False).astype(np.float64)
-        bad = np.isnan(views) | (views == 0) | np.isnan(reac) | (reac == 0)
-        nv = pd.notna(ff).astype(np.int64) + bad.astype(np.int64)
+        nv = pd.notna(ff).astype(np.int64) + metrics_missing(ann).astype(np.int64)
         g = pd.DataFrame({"shard": shard, "nv": nv}).groupby("shard", sort=False)["nv"].agg(
             ["size", "sum"]
         )
@@ -2769,7 +2760,7 @@ def q_quarantine_export(sf_dir: str) -> pd.DataFrame:
     exp = os.path.join(_OUT_ROOT, os.path.basename(data) + "_qexp_split")
     shutil.rmtree(out, ignore_errors=True)
     shutil.rmtree(exp, ignore_errors=True)
-    run_validation(data, out, ValidationConfig(), write_annotated=False)
+    run_validation(data, out, ValidationConfig())
     res = export_quarantine(data, out, exp)
     return pd.DataFrame([res])[["n_partitions", "rows", "quarantined", "n_skipped"]]
 

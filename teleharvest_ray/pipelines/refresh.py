@@ -16,11 +16,16 @@ never point-update).
 ``processor.py:65-71``): the reference re-scans a bounded historical window
 (first id of the last ``limit=1000`` ids .. watermark) per channel to refresh
 late-arriving engagement metrics. Recast: per partition, re-read the CURRENT
-input file, re-evaluate the metrics-presence predicate
-(``processor.py:147-157``) for rows within the last ``window`` turns of each
+input file's key and metric columns, re-evaluate the chain's own
+metrics-presence predicate (:func:`~..stages.row_checks.metrics_missing`,
+``processor.py:147-157``) for rows within the last ``window`` turns of each
 conversation (batch-local watermark, like the reference's per-channel
-watermark captured in EP1), and rewrite the partition's ``metrics_missing``
-violations copy-on-write; all other violation kinds are preserved untouched.
+watermark captured in EP1: the per-conversation max turn of
+:func:`~..stages.row_checks.build_conv_last`), and rewrite the partition's
+violations copy-on-write, in Arrow: the old in-window ``metrics_missing``
+rows are dropped by mask and each failing in-window input row adds one, so
+a duplicated key keeps one row per copy, as a validation run writes it; all
+other violation rows are kept untouched.
 
 Both are actor-pool per-partition maps (:func:`_map_partitions`), resumable
 by construction (atomic file replace; re-running is idempotent).
@@ -42,6 +47,7 @@ import ray.data as rd
 
 from ..config import ValidationConfig
 from ..functions import textfuncs as tf
+from ..stages.row_checks import build_conv_last, lookup_conv_last, metrics_missing
 from ..state.checkpoint import atomic_write_parquet
 from ..state.profile import ReferenceProfile
 from .validate import read_annotated, release_pool
@@ -61,7 +67,7 @@ def _map_partitions(items: list, actor_cls, args: tuple) -> pd.DataFrame:
             fn_constructor_args=args,
             batch_size=1,
             concurrency=max(1, min(len(items), n_cpus)),
-            batch_format="pandas",
+            batch_format="pyarrow",
         )
         return ds.to_pandas()
     finally:
@@ -80,8 +86,8 @@ class SimilarityRefresher:
 
     def __call__(self, batch) -> pa.Table:
         out = []
-        for path in batch["path"]:
-            out.append(self._one(str(path)))
+        for path in batch["path"].to_pylist():
+            out.append(self._one(path))
         return pa.Table.from_pylist(out)
 
     def _one(self, path: str) -> dict:
@@ -125,57 +131,42 @@ class MetricsRefresher:
 
     def __call__(self, batch) -> pa.Table:
         out = []
-        for pid in batch["pid"]:
-            out.append(self._one(str(pid)))
+        for pid in batch["pid"].to_pylist():
+            out.append(self._one(pid))
         return pa.Table.from_pylist(out)
 
     def _one(self, pid: str) -> dict:
         src = os.path.join(self.data_dir, f"{pid}.parquet")
         vio_path = os.path.join(self.out_dir, "violations", f"{pid}.parquet")
         tbl = pq.read_table(src, columns=["conv_id", "turn_idx", "views", "reactions"])
-        conv = pd.Series(np.asarray(tbl["conv_id"].to_pandas(), dtype=object))
-        turn = tbl["turn_idx"].to_numpy(zero_copy_only=False)
         # batch-local watermark per conversation (EP1's channel_min_id analog,
         # processor.py:60-61); window = last `window` turns below it
-        conv_max = pd.Series(turn).groupby(conv.to_numpy()).transform("max").to_numpy()
-        in_window = turn > (conv_max - self.window)
-        views = tbl["views"].to_numpy(zero_copy_only=False).astype(np.float64)
-        reac = tbl["reactions"].to_numpy(zero_copy_only=False).astype(np.float64)
-        bad = (np.isnan(views) | (views == 0) | np.isnan(reac) | (reac == 0)) & in_window
-        new_rows = pd.DataFrame(
+        conv_last = build_conv_last(tbl)
+
+        def in_window(t: pa.Table) -> np.ndarray:
+            floor = lookup_conv_last(conv_last, t["conv_id"].to_numpy()) - self.window
+            return t["turn_idx"].to_numpy() > floor
+
+        window = in_window(tbl)
+        bad = metrics_missing(tbl) & window
+        n_bad = int(bad.sum())
+        new_rows = pa.table(
             {
-                "conv_id": conv.to_numpy()[bad],
-                "turn_idx": turn[bad].astype(np.int32),
-                "check_id": "metrics_missing",
-                "detail": None,
+                "conv_id": tbl["conv_id"].filter(pa.array(bad)).cast(pa.string()),
+                "turn_idx": tbl["turn_idx"].filter(pa.array(bad)).cast(pa.int32()),
+                "check_id": pa.repeat(pa.scalar("metrics_missing"), n_bad),
+                "detail": pa.nulls(n_bad, pa.string()),
             }
         )
-        old = pq.read_table(vio_path).to_pandas() if os.path.exists(vio_path) else pd.DataFrame(
-            columns=["conv_id", "turn_idx", "check_id", "detail"]
-        )
-        # copy-on-write: replace in-window metrics_missing entries, keep rest
-        conv_max_map = pd.Series(turn).groupby(conv.to_numpy()).max()
-        if len(old):
-            old_wm = old["conv_id"].map(conv_max_map)
-            old_in_window = (old["check_id"] == "metrics_missing") & (
-                old["turn_idx"] > (old_wm - self.window)
-            )
-            keep_mask = ~old_in_window.fillna(False)
-        else:
-            keep_mask = pd.Series([], dtype=bool)
-        merged = pd.concat([old[keep_mask], new_rows], ignore_index=True).drop_duplicates(
-            ["conv_id", "turn_idx", "check_id"]
-        )
-        out_tbl = pa.table(
-            {
-                "conv_id": pa.array(merged["conv_id"].to_numpy(object), pa.string()),
-                "turn_idx": pa.array(merged["turn_idx"].to_numpy().astype(np.int32)),
-                "check_id": pa.array(merged["check_id"].to_numpy(object), pa.string()),
-                "detail": pa.array(merged["detail"].to_numpy(object), pa.string()),
-            }
-        )
-        atomic_write_parquet(out_tbl, vio_path)
-        return {"partition": pid, "window_rows": int(in_window.sum()), "metrics_violations": int(bad.sum())}
+        # copy-on-write: the in-window metrics_missing rows are replaced, one
+        # per failing input row (a duplicated key keeps both); every other
+        # row is kept as it is
+        if os.path.exists(vio_path):
+            old = pq.read_table(vio_path)
+            stale = pc.equal(old["check_id"], "metrics_missing").to_numpy() & in_window(old)
+            new_rows = pa.concat_tables([old.filter(pa.array(~stale)), new_rows])
+        atomic_write_parquet(new_rows, vio_path)
+        return {"partition": pid, "window_rows": int(window.sum()), "metrics_violations": n_bad}
 
 
 def refresh_metrics(

@@ -12,9 +12,14 @@ Ray Data:
   annotated outputs atomically, and returns a lineage/metrics record. The
   driver streams these records into the checkpoint store as they complete —
   a killed run resumes by replaying only partitions without a record. The
-  annotated file keeps only what the chain adds, one row per input row in
-  partition order; :func:`read_annotated` rebuilds the input columns and
-  the text rewrites from the input file.
+  annotated file, always written, keeps only what the chain adds, one row
+  per input row in partition order; :func:`read_annotated` rebuilds the
+  input columns and the text rewrites from the input file. A partition that
+  grew since its record is scanned as a delta: the chain runs over the new
+  rows only, and its violation rows are rebuilt whole by the one
+  :func:`chain_violations`, from the annotated prefix and the new rows.
+  Records name their sidecars relative to the output directory, so a moved
+  output directory resumes in place.
 - **Phase 2 — key-space checks** (the PK/watermark discipline,
   ``models/message.py:34-36,75-89``): dup/seq/orphan violations from the
   sorted key-run and conversation-partial sidecars phase 1 wrote per
@@ -47,7 +52,6 @@ import time
 import traceback
 
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
@@ -55,6 +59,8 @@ import ray.data as rd
 
 from ..checks import filter_violations
 from ..config import ValidationConfig
+from ..schema import METRIC_COLUMNS
+from ..stages import keyspace
 from ..stages.keyspace import (  # noqa: F401 — conv_partials_table, merge_conv_partials: rebound by valbench/tracing.py
     build_bloom_index,
     conv_partials_table,
@@ -97,18 +103,10 @@ class PartitionValidator:
     (the A3/A4 load-once pattern — reference embedding model + published
     snapshot, ``services/embedding_service.py:15-16``, ``processor.py:58``)."""
 
-    def __init__(
-        self,
-        cfg: ValidationConfig,
-        profile_ref,
-        out_dir: str,
-        write_annotated: bool,
-        on_error: str = "raise",
-    ):
+    def __init__(self, cfg: ValidationConfig, profile_ref, out_dir: str, on_error: str = "raise"):
         self.cfg = cfg
         self.profile: ReferenceProfile = ray.get(profile_ref)
         self.out_dir = out_dir
-        self.write_annotated = write_annotated
         self.on_error = on_error
 
     def __call__(self, batch) -> pa.Table:
@@ -153,18 +151,33 @@ class PartitionValidator:
         > 0`` is the ROW-LEVEL INCREMENTAL path (the reference's watermark:
         only rows past the last validated id are fetched, processor.py:59-63,
         models/message.py:75-89, under the same append-only/id-monotone
-        contract): only the delta rows run the chain and the stats, their
-        outputs MERGE into the partition's existing violations and sketch,
-        and the last-turn ER exemption is scoped to the delta (the reference's
-        per-fetched-batch semantics, processor.py:76-77). The key-space
-        state is built from the whole partition's key columns on every scan,
-        full or delta, so the sidecars never merge a prefix's."""
+        contract): only the delta rows run the chain and the stats, and the
+        last-turn ER exemption is scoped to the delta (the reference's
+        per-fetched-batch semantics, processor.py:76-77), but the outputs
+        describe the WHOLE partition. The prefix's violation rows come from
+        its annotated rows through the same :func:`chain_violations`, never
+        from the old violations file, so a delta scanned twice writes them
+        once. The key-space state is built from the whole partition's key
+        columns on every scan, so the sidecars never merge a prefix's."""
         t0 = time.perf_counter()
         # stat BEFORE the scan: rows appended concurrently with this scan are
         # not covered by the recorded size/mtime, so the next resume's stat
         # pre-filter misses and schedules the delta (a post-scan stat would
         # mark them validated without ever reading them)
         st_pre = os.stat(path)
+        # annotated rows keep only what the chain adds, narrowed per row
+        # group so the wide table never exists whole; row i of the file is
+        # row i of the partition
+        keep = _annotated_columns(self.cfg)
+        ann_path = os.path.join(self.out_dir, "annotated", f"{pid}.parquet")
+        prefix = None
+        if start_row:
+            # narrowed, if an older run wrote it wide; cut to start_row, if a
+            # killed scan already appended this delta; rescanned whole, if an
+            # earlier release left it shorter than the prefix
+            prefix = pq.read_table(ann_path, columns=keep).slice(0, start_row)
+            if prefix.num_rows < start_row:
+                start_row, prefix = 0, None
         # stream the partition ROW-GROUP-wise: peak actor memory is bounded by
         # row-group size, not file size (a 1 GB file never materializes whole).
         # Chain semantics are per-fetched-batch by definition (the last-turn ER
@@ -181,9 +194,6 @@ class PartitionValidator:
         # heaviest per-task transient at multi-million-conv files
         conv_last = build_conv_last(kt.slice(start_row))
         ks = prep_state(kt)
-        # annotated rows keep only what the chain adds, narrowed per row
-        # group so the wide table never exists whole
-        keep = _annotated_columns(self.cfg)
         ann_parts, vio_parts, stats = [], [], None
         cum = 0
         for rg in range(pf.num_row_groups):
@@ -205,26 +215,30 @@ class PartitionValidator:
             ann_g = evaluate_chain(empty, self.cfg, self.profile.exemplars)
             ann_parts, vio_parts = [ann_g.select(keep)], [chain_violations(ann_g)]
             stats = partition_stats(empty, self.cfg)
+
+        # Incremental path: the prefix's chain record joined with the input
+        # prefix's metric columns gives its violation rows, and its sketch
+        # folds back in (sketches merge associatively); the key state above
+        # already covers it.
+        if prefix is not None:
+            metrics = [c for c in METRIC_COLUMNS if c in pf.schema_arrow.names]
+            prefix_in = pq.read_table(path, columns=metrics).slice(0, start_row)
+            for name in metrics:
+                prefix = prefix.append_column(name, prefix_in[name])
+            vio_parts.insert(0, chain_violations(prefix))
+            ann_parts.insert(0, prefix.select(keep))
+            old = CheckpointStore(os.path.join(self.out_dir, "checkpoints")).read(pid)
+            if old is not None and old.get("sketch_state"):
+                stats = merge_stats(stats_from_bytes(old["sketch_state"]), stats)
         ann = pa.concat_tables(ann_parts)
         vio = pa.concat_tables(vio_parts)
-        delta_rows = ann.num_rows
-
-        # Incremental path: fold the already-validated prefix's sketch back
-        # in (sketches merge associatively) so the record describes the
-        # WHOLE partition; the key state above already covers it.
-        prev_rows = 0
-        if start_row:
-            old = CheckpointStore(os.path.join(self.out_dir, "checkpoints")).read(pid)
-            if old is not None:
-                prev_rows = int(old.get("rows_scanned", 0))
-                if old.get("sketch_state"):
-                    stats = merge_stats(stats_from_bytes(old["sketch_state"]), stats)
 
         # key-space state piggybacks on this scan of the partition so phase 2
         # re-reads a partition only when its sidecars hold a candidate
         # (SURVEY §4 shuffle-minimization). The sidecars are sorted here
         # (distributed, in the actor) and the lineage record carries only
-        # their paths + digest, so at 10^12 keys the driver never holds them.
+        # their paths, relative to the output directory, + digest, so at
+        # 10^12 keys the driver never holds them.
         blob_path, partials_path, blob_digest = write_sidecars(ks, os.path.join(self.out_dir, "keyspace"), pid)
 
         # drift is a whole-partition distribution check → merged stats
@@ -248,39 +262,16 @@ class PartitionValidator:
                 ]
             )
         vio = filter_violations(vio, self.cfg)
-        vio_path = os.path.join(self.out_dir, "violations", f"{pid}.parquet")
-        if start_row and os.path.exists(vio_path):
-            # keep prior row-level violations; drift was recomputed above over
-            # the merged stats, so stale drift rows are replaced, not doubled
-            old_vio = pq.read_table(vio_path)
-            old_vio = old_vio.filter(pc.not_equal(old_vio["check_id"], "drift"))
-            vio = pa.concat_tables([old_vio, vio])
-        atomic_write_parquet(vio, vio_path)
-        if self.write_annotated:
-            ann_path = os.path.join(self.out_dir, "annotated", f"{pid}.parquet")
-            if start_row:
-                # row i of the file is row i of the partition: prepend the
-                # validated prefix (narrowed, if an older run wrote it wide;
-                # cut to start_row, if a killed scan already appended this
-                # delta), or drop the file when an earlier scan left rows of
-                # the prefix unannotated
-                prefix = pq.read_table(ann_path, columns=keep) if os.path.exists(ann_path) else None
-                if prefix is None or prefix.num_rows < start_row:
-                    ann = None
-                else:
-                    ann = pa.concat_tables([prefix.slice(0, start_row), ann])
-            if ann is not None:
-                atomic_write_parquet(ann, ann_path)
-            elif os.path.exists(ann_path):
-                os.unlink(ann_path)
+        atomic_write_parquet(vio, os.path.join(self.out_dir, "violations", f"{pid}.parquet"))
+        atomic_write_parquet(ann, ann_path)
         return {
             "partition_id": pid,
-            "rows_scanned": prev_rows + delta_rows,
+            "rows_scanned": ann.num_rows,
             "violations": vio.num_rows,
             "pass": vio.num_rows == 0,
             "sketch_state": stats_to_bytes(stats),
-            "keyspace_partials": partials_path,
-            "keyspace_blob": blob_path,
+            "keyspace_partials": os.path.relpath(partials_path, self.out_dir),
+            "keyspace_blob": os.path.relpath(blob_path, self.out_dir),
             "keyspace_digest": blob_digest,
             "input_file": os.path.abspath(path),
             "input_size": st_pre.st_size,
@@ -329,6 +320,14 @@ def release_pool(free_cpus: float) -> None:
         time.sleep(0.05)
 
 
+def _sidecars(out_dir: str, rec: dict) -> tuple[str, str]:
+    """The (key run, partials) sidecar paths a checkpoint record names.
+    Records store them relative to the output directory, so a moved output
+    directory still finds its own; an earlier release's absolute path
+    resolves to itself."""
+    return tuple(os.path.join(out_dir, rec.get(k) or "") for k in ("keyspace_blob", "keyspace_partials"))
+
+
 def probe_scoring_capability(probe) -> bool:
     """Run the scoring capability probe ONCE at run start (the reference
     checks its credit balance before processing and disables scoring on
@@ -346,7 +345,6 @@ def run_validation(
     out_dir: str,
     cfg: ValidationConfig | None = None,
     resume: bool = True,
-    write_annotated: bool = True,
     capability_probe=None,
     on_error: str = "raise",
 ) -> dict:
@@ -404,19 +402,21 @@ def run_validation(
     # Work list. A partition with a record can still need work when the file
     # GREW since validation (the reference's watermark semantics: new rows
     # append under an id-monotone contract, processor.py:59-63) — only the
-    # delta rows [rows_scanned, end) revalidate, merging into the existing
-    # violations and sketch (the key state is rebuilt from the whole file).
-    # A shrunk/replaced file falls back to full revalidation. The growth
-    # probe is a footer-only read per already-validated file.
+    # delta rows [rows_scanned, end) revalidate; the prefix's violations are
+    # derived again from its annotated rows and its sketch merges in (the
+    # key state is rebuilt from the whole file). A shrunk/replaced file
+    # falls back to full revalidation. The growth probe is a footer-only
+    # read per already-validated file.
     todo = []
     errors: dict[str, str] = {}
     for f, p in zip(files, pids):
         rec = done.get(p)
-        # phase 2 reads a partition's key state only from its sidecars, so a
+        # phase 2 reads a partition's key state only from its sidecars, and a
+        # delta reads the prefix's chain record from its annotated file, so a
         # record without them (an older format, or files removed) is
-        # revalidated in full: the sidecars must be rebuilt
+        # revalidated in full: they must be rebuilt
         if rec is None or not all(
-            rec.get(k) and os.path.exists(rec[k]) for k in ("keyspace_blob", "keyspace_partials")
+            map(os.path.isfile, (*_sidecars(out_dir, rec), os.path.join(out_dir, "annotated", f"{p}.parquet")))
         ):
             todo.append({"path": f, "pid": p, "start_row": 0})
             done.pop(p, None)
@@ -458,7 +458,7 @@ def run_validation(
             ds = rd.from_items(todo)
             result = ds.map_batches(
                 PartitionValidator,
-                fn_constructor_args=(cfg, profile_ref, out_dir, write_annotated, on_error),
+                fn_constructor_args=(cfg, profile_ref, out_dir, on_error),
                 batch_size=1,
                 concurrency=conc,
                 num_cpus=actor_cpus,
@@ -476,9 +476,7 @@ def run_validation(
                     new_records.append(rec)
                     # the record is durable → superseded sidecar files can go
                     prune_sidecars(
-                        os.path.join(out_dir, "keyspace"),
-                        rec["partition_id"],
-                        {rec["keyspace_blob"], rec["keyspace_partials"]},
+                        os.path.join(out_dir, "keyspace"), rec["partition_id"], set(_sidecars(out_dir, rec))
                     )
             # per-stage execution stats (wall/cpu/memory per operator) for tuning
             try:
@@ -541,7 +539,7 @@ def run_validation(
     elif grec is None or grec.get("digest") != global_digest:
         if not os.path.exists(conv_index_path):
             known = []
-        elif pq.ParquetFile(conv_index_path).metadata.num_rows > cfg.orphan_bloom_threshold:
+        elif pq.ParquetFile(conv_index_path).metadata.num_rows > keyspace._ORPHAN_BLOOM_IDS:
             # big index: distributed partial-Bloom build (OR-merge) — the
             # driver holds only the final filter bits, never the id list
             known = build_bloom_index(conv_index_path)
@@ -550,11 +548,7 @@ def run_validation(
         # the sidecar paths and the index are all phase 2 needs: keyspace
         # merges the sidecars hash range by hash range, so the driver sees
         # only candidates
-        parts = [
-            (f, all_records[p]["keyspace_blob"], all_records[p]["keyspace_partials"])
-            for f, p in zip(files, pids)
-            if p in all_records
-        ]
+        parts = [(f, *_sidecars(out_dir, all_records[p])) for f, p in zip(files, pids) if p in all_records]
         gvio = filter_violations(keyspace_from_states(parts, known), cfg)
         atomic_write_parquet(gvio, os.path.join(out_dir, "violations", "_global.parquet"))
         store.write(

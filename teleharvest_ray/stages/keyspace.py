@@ -355,6 +355,11 @@ def _hash_ranges(n: int) -> list:
 #: at shard size (one extra 8-byte/row shuffle)
 _BLOOM_SHARD_IDS = 5_000_000
 
+#: above this many index ids the orphan check swaps the index's Arrow id
+#: column (an ``is_in`` probe) for a Bloom filter (:func:`build_bloom_index`;
+#: one-sided error: never falsely flags an orphan)
+_ORPHAN_BLOOM_IDS = 5_000_000
+
 
 def build_bloom_index(index_path: str, fpp: float = 0.01):
     """Distributed Bloom build over a conversations-index parquet: hash the

@@ -318,10 +318,21 @@ def with_text_columns(tbl: pa.Table, chain: pa.Table) -> pa.Table:
     return out
 
 
+def metrics_missing(tbl: pa.Table) -> np.ndarray:
+    """The metrics_missing predicate over ``tbl``'s ``views`` and
+    ``reactions``, as a bool mask (the EP3 updatability predicate,
+    processor.py:147-157: updatable only when views AND reactions are truthy
+    — 0/None both fail)."""
+    views = tbl["views"].to_numpy(zero_copy_only=False).astype(np.float64)
+    reac = tbl["reactions"].to_numpy(zero_copy_only=False).astype(np.float64)
+    return np.isnan(views) | (views == 0) | np.isnan(reac) | (reac == 0)
+
+
 def chain_violations(annotated: pa.Table) -> pa.Table:
-    """Violation rows from an annotated batch: chain failures plus the
-    independent metrics_missing check (processor.py:147-157: updatable only
-    when views AND reactions are truthy — 0/None both fail)."""
+    """Violation rows from an annotated batch: chain failures, then the
+    independent :func:`metrics_missing` check. The batch needs the row key,
+    ``first_failing_check`` and ``stop_word_hit``, and the metric columns
+    for the second check."""
     conv = np.asarray(annotated["conv_id"].to_pandas(), dtype=object)
     turn = annotated["turn_idx"].to_numpy(zero_copy_only=False)
     turn = np.where(pd.isna(turn), -1, turn).astype(np.int32)
@@ -340,9 +351,7 @@ def chain_violations(annotated: pa.Table) -> pa.Table:
 
     has_metrics = all(c in annotated.column_names for c in METRIC_COLUMNS)
     if has_metrics:
-        views = annotated["views"].to_numpy(zero_copy_only=False).astype(np.float64)
-        reac = annotated["reactions"].to_numpy(zero_copy_only=False).astype(np.float64)
-        bad = np.isnan(views) | (views == 0) | np.isnan(reac) | (reac == 0)
+        bad = metrics_missing(annotated)
         if bad.any():
             idx = np.flatnonzero(bad)
             rows_c.append(conv[idx])

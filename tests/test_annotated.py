@@ -9,6 +9,7 @@ import os
 import shutil
 import sys
 import types
+from collections import Counter
 
 import numpy as np
 import pyarrow as pa
@@ -83,6 +84,12 @@ def _vio_set(df) -> set:
     return set(map(tuple, df[["conv_id", "turn_idx", "check_id"]].drop_duplicates().itertuples(index=False)))
 
 
+def _vio_rows(out: str) -> Counter:
+    """Every violation row of a run, with its multiplicity."""
+    files = sorted(glob.glob(os.path.join(out, "violations", "*.parquet")))
+    return Counter(tuple(r.values()) for f in files for r in pq.read_table(f).to_pylist())
+
+
 def test_read_annotated_equals_the_chain_output(ray_session, corpus, tmp_path):
     """On a dirty corpus, one partition in many row groups and one grown by a
     delta, every file is narrow and ``read_annotated`` is ``Table.equals``
@@ -140,7 +147,7 @@ def test_non_builtin_alt_is_stored(ray_session, corpus, tmp_path, monkeypatch):
         path = os.path.join(corpus, f"{pid}.parquet")
         profile = build_profile(pq.read_table(os.path.join(corpus, "part-00000.parquet"), columns=["text", "role", "tool"]), cfg)
         # the validator in-process: the test scorer exists in this process only
-        v = PartitionValidator(cfg, ray.put(profile), out, write_annotated=True)
+        v = PartitionValidator(cfg, ray.put(profile), out)
         CheckpointStore(os.path.join(out, "checkpoints")).write(pid, v._one(path, pid))
         stored = pq.read_table(os.path.join(out, "annotated", f"{pid}.parquet"))
         assert stored.column_names == _annotated_columns(cfg)
@@ -181,12 +188,14 @@ def test_wide_file_narrows_on_its_next_delta(ray_session, corpus, tmp_path):
 
 
 def test_delta_rescan_after_a_kill_keeps_one_row_per_input_row(ray_session, corpus, tmp_path):
-    """A scan killed after it wrote a delta's annotated rows but before its
-    checkpoint record: the resume scans the delta again, and the file still
-    holds one row per input row."""
+    """A scan killed after it wrote a delta's outputs but before its
+    checkpoint record: the resume scans the delta again, the annotated file
+    still holds one row per input row, and the violation rows, counted with
+    their multiplicity, are those of a resume that was not killed."""
     cfg = ValidationConfig()
+    pid = "part-00001"  # its delta holds planted row-level violations
     d = _copy(corpus, str(tmp_path / "data"))
-    grown = os.path.join(d, f"{GROWN}.parquet")
+    grown = os.path.join(d, f"{pid}.parquet")
     full, k = _truncate_at_conv_boundary(grown, 0.5)
     out = str(tmp_path / "out")
     run_validation(d, out, cfg)
@@ -194,15 +203,18 @@ def test_delta_rescan_after_a_kill_keeps_one_row_per_input_row(ray_session, corp
     shutil.copytree(out, before)
     pq.write_table(full, grown)
     run_validation(d, out, cfg)
+    unkilled = _vio_rows(out)
+    assert sum(unkilled.values()) > sum(_vio_rows(before).values())
     # the kill: the delta's outputs are written, its record and sidecars not
     for sub in ("checkpoints", "keyspace"):
         shutil.rmtree(os.path.join(out, sub))
         shutil.copytree(os.path.join(before, sub), os.path.join(out, sub))
     s = run_validation(d, out, cfg)
     assert s["n_validated_now"] == 1
-    assert pq.read_table(os.path.join(out, "annotated", f"{GROWN}.parquet")).num_rows == full.num_rows
-    want = pa.concat_tables([_chain(d, GROWN, cfg, 0, k), _chain(d, GROWN, cfg, k)])
-    assert read_annotated(out, GROWN).equals(want)
+    assert pq.read_table(os.path.join(out, "annotated", f"{pid}.parquet")).num_rows == full.num_rows
+    want = pa.concat_tables([_chain(d, pid, cfg, 0, k), _chain(d, pid, cfg, k)])
+    assert read_annotated(out, pid).equals(want)
+    assert _vio_rows(out) == unkilled
 
 
 def test_read_annotated_raises_on_a_replaced_input(ray_session, corpus, tmp_path):

@@ -38,7 +38,7 @@ def test_keyspace_bloom_path_matches_manifest(ray_session, keyspace_sidecars, tm
     from teleharvest_ray.stages.keyspace import build_bloom_index, keyspace_from_states
 
     # the Bloom membership path, as run_validation takes it above
-    # orphan_bloom_threshold
+    # keyspace._ORPHAN_BLOOM_IDS index ids
     parts = keyspace_sidecars(files, str(tmp_path))
     vio = keyspace_from_states(parts, build_bloom_index(d + "/conversations.parquet")).to_pandas()
     exp = pq.read_table(d + "/expected_violations.parquet").to_pandas()
@@ -52,7 +52,7 @@ def test_keyspace_bloom_path_matches_manifest(ray_session, keyspace_sidecars, tm
 
 KILL_SCRIPT = """
 import sys
-sys.argv = ["prog", "validate", "--data", sys.argv[1], "--out", sys.argv[2], "--no-annotated"]
+sys.argv = ["prog", "validate", "--data", sys.argv[1], "--out", sys.argv[2]]
 from teleharvest_ray.__main__ import main
 main(sys.argv[1:])
 """
@@ -64,7 +64,7 @@ def test_kill9_resume_identical(tmp_path):
     env = dict(os.environ, RAY_ADDRESS="local")
     # start a validation subprocess and SIGKILL it once >=1 checkpoint exists
     proc = subprocess.Popen(
-        [sys.executable, "-m", "teleharvest_ray", "validate", "--data", d, "--out", o1, "--no-annotated"],
+        [sys.executable, "-m", "teleharvest_ray", "validate", "--data", d, "--out", o1],
         cwd="/root/repo", env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     ckdir = os.path.join(o1, "checkpoints")
@@ -83,7 +83,7 @@ def test_kill9_resume_identical(tmp_path):
     n_ck = len(glob.glob(os.path.join(ckdir, "part-*.json")))
     # resume (fresh process, same out dir)
     r = subprocess.run(
-        [sys.executable, "-m", "teleharvest_ray", "validate", "--data", d, "--out", o1, "--no-annotated"],
+        [sys.executable, "-m", "teleharvest_ray", "validate", "--data", d, "--out", o1],
         cwd="/root/repo", env=env, capture_output=True, text=True, timeout=300,
     )
     assert r.returncode == 0, r.stderr[-800:]
@@ -92,7 +92,7 @@ def test_kill9_resume_identical(tmp_path):
         assert s["n_resumed"] == n_ck  # only unfinished partitions revalidated
     # uninterrupted control run → identical violation set
     r2 = subprocess.run(
-        [sys.executable, "-m", "teleharvest_ray", "validate", "--data", d, "--out", o2, "--no-annotated"],
+        [sys.executable, "-m", "teleharvest_ray", "validate", "--data", d, "--out", o2],
         cwd="/root/repo", env=env, capture_output=True, text=True, timeout=300,
     )
     assert r2.returncode == 0, r2.stderr[-800:]
@@ -121,11 +121,12 @@ def test_distributed_bloom_build_matches_local(ray_session, tmp_path):
 
 
 def test_validation_bloom_path_distributed_and_manifest_exact(ray_session, tmp_path, monkeypatch):
-    """Above orphan_bloom_threshold the driver builds the membership index
+    """Above _ORPHAN_BLOOM_IDS the driver builds the membership index
     via the distributed partial-Bloom path (never materializing the id
     list), and the orphan manifest stays row-exact."""
     import teleharvest_ray.pipelines.validate as V
     from teleharvest_ray.pipelines.validate import read_violations, run_validation
+    from teleharvest_ray.stages import keyspace
 
     d = str(tmp_path / "bd")
     generate(d, GenSpec(n_convs=120, n_files=4, seed=78))
@@ -141,8 +142,9 @@ def test_validation_bloom_path_distributed_and_manifest_exact(ray_session, tmp_p
         return orig_read(path, *a, **k)
 
     monkeypatch.setattr(V.pq, "read_table", guarded_read)
+    monkeypatch.setattr(keyspace, "_ORPHAN_BLOOM_IDS", 1)
     out = str(tmp_path / "out")
-    run_validation(d, out, ValidationConfig(orphan_bloom_threshold=1), write_annotated=False)
+    run_validation(d, out, ValidationConfig())
     assert calls, "distributed bloom build was not invoked"
     exp = pq.read_table(d + "/expected_violations.parquet").to_pandas()
     exp_orph = exp[exp.check_id == "orphan_conv"]

@@ -23,7 +23,7 @@ def validated(ray_session, tmp_path_factory):
     data = str(root / "data")
     out = str(root / "out")
     generate(data, GenSpec(n_convs=80, n_files=4, seed=11, hot_conv=True))
-    run_validation(data, out, ValidationConfig(), write_annotated=False)
+    run_validation(data, out, ValidationConfig())
     return root, data, out
 
 
@@ -80,7 +80,7 @@ def test_export_no_violations_everything_clean(ray_session, tmp_path):
     data = str(tmp_path / "data")
     out = str(tmp_path / "out")
     generate(data, GenSpec(n_convs=20, n_files=2, seed=5, plant=False))
-    run_validation(data, out, ValidationConfig(), write_annotated=False)
+    run_validation(data, out, ValidationConfig())
     res = export_quarantine(data, out, str(tmp_path / "exp"))
     clean = _read_dir(str(tmp_path / "exp" / "clean"))
     assert res["rows"] == len(clean)

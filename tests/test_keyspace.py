@@ -127,7 +127,7 @@ def test_validator_writes_sidecar_blobs(ray_session, tmp_path):
     d = str(tmp_path / "data")
     generate(d, GenSpec(n_convs=60, n_files=3, seed=9))
     out = str(tmp_path / "out")
-    run_validation(d, out, ValidationConfig(), write_annotated=False)
+    run_validation(d, out, ValidationConfig())
     blobs = sorted(glob.glob(os.path.join(out, "keyspace", "part-*.bin")))
     assert len(blobs) == 3
     for bp in blobs:
@@ -243,7 +243,7 @@ def test_several_hash_ranges_match_one(ray_session, tmp_path, monkeypatch, phase
     pq.write_table(first.slice(0, 0), os.path.join(d, "part-00099.parquet"))
 
     def run(name):
-        s = run_validation(d, str(tmp_path / name), ValidationConfig(), write_annotated=False)
+        s = run_validation(d, str(tmp_path / name), ValidationConfig())
         vio = read_violations(str(tmp_path / name))
         return s, vio.sort_values(list(vio.columns), ignore_index=True)
 
@@ -279,7 +279,7 @@ def test_lineage_records_stay_small(ray_session, tmp_path):
     d = str(tmp_path / "recdata")
     generate(d, GenSpec(rows_hint=40_000, n_files=2, seed=12))
     out = str(tmp_path / "recout")
-    run_validation(d, out, ValidationConfig(), write_annotated=False)
+    run_validation(d, out, ValidationConfig())
     recs = glob.glob(os.path.join(out, "checkpoints", "part-*.json"))
     assert len(recs) == 2
     assert all(os.path.getsize(r) < 50_000 for r in recs), [os.path.getsize(r) for r in recs]

@@ -67,7 +67,7 @@ def test_failed_refresh_releases_session_cpus(ray_session, cpus_free, tmp_path):
 
     d, out = str(tmp_path / "data"), str(tmp_path / "out")
     generate(d, GenSpec(n_convs=30, n_files=3, seed=8, plant=False))
-    run_validation(d, out, ValidationConfig(), write_annotated=False)
+    run_validation(d, out, ValidationConfig())
     with open(os.path.join(d, "part-00001.parquet"), "wb") as fh:
         fh.write(b"not a parquet file")
     gc.collect()  # pools other tests left to the garbage collector
@@ -122,7 +122,7 @@ def test_disabled_checks(validated, ray_session, tmp_path):
     data, _ = validated
     out = str(tmp_path / "disabled_out")
     cfg = ValidationConfig(disabled_checks=("drift", "low_engagement", "dup_key"))
-    run_validation(data, out, cfg, write_annotated=False)
+    run_validation(data, out, cfg)
     vio = read_violations(out)
     assert not set(vio.check_id) & {"drift", "low_engagement", "dup_key"}
     assert {"text_missing", "seq_gap"} <= set(vio.check_id)
@@ -164,7 +164,7 @@ def test_cli_gen_and_validate(tmp_path):
     m = json.loads(r.stdout.strip().splitlines()[-1])
     assert m["n_rows"] > 2000
     r2 = subprocess.run(
-        [sys.executable, "-m", "teleharvest_ray", "validate", "--data", d, "--out", o, "--no-annotated"],
+        [sys.executable, "-m", "teleharvest_ray", "validate", "--data", d, "--out", o],
         capture_output=True, text=True, cwd="/root/repo", env=env, timeout=300,
     )
     assert r2.returncode == 0, r2.stderr[-800:]
@@ -187,7 +187,7 @@ def test_refresh_metrics_after_incremental_append(ray_session, tmp_path):
     d = str(tmp_path / "rmdata")
     generate(d, GenSpec(n_convs=40, n_files=2, seed=51))
     out = str(tmp_path / "rmout")
-    run_validation(d, out, ValidationConfig(), write_annotated=False)
+    run_validation(d, out, ValidationConfig())
     p = os.path.join(d, "part-00000.parquet")
     old = pq.read_table(p)
     ap = pd.DataFrame(
@@ -204,13 +204,42 @@ def test_refresh_metrics_after_incremental_append(ray_session, tmp_path):
         }
     )
     pq.write_table(pa.concat_tables([old, pa.Table.from_pandas(ap, schema=old.schema, preserve_index=False)]), p)
-    s = run_validation(d, out, ValidationConfig(), write_annotated=False)
+    s = run_validation(d, out, ValidationConfig())
     assert s["n_validated_now"] == 1
     refresh_metrics(d, out, ValidationConfig(), window=1000)
     got = read_violations(out)
     k = set(map(tuple, got[["conv_id", "turn_idx", "check_id"]].drop_duplicates().itertuples(index=False)))
     assert ("conv-rm-1", 0, "metrics_missing") in k
     assert ("conv-rm-1", 1, "metrics_missing") not in k
+
+
+def test_refresh_metrics_keeps_a_duplicated_keys_rows(ray_session, tmp_path):
+    """A partition holds a duplicated key whose two copies are too short and
+    have no views: validation writes one text_too_short and one
+    metrics_missing row per copy, and a metrics refresh over the unchanged
+    data leaves every violation row, counted with its multiplicity, as it
+    was."""
+    from collections import Counter
+
+    d = str(tmp_path / "dupdata")
+    generate(d, GenSpec(n_convs=40, n_files=2, seed=52))
+    p = os.path.join(d, "part-00000.parquet")
+    old = pq.read_table(p)
+    row = dict(old.slice(0, 1).to_pylist()[0], conv_id="conv-dup-1", turn_idx=0, text="too short")
+    row.update(views=None, reactions=None)
+    pq.write_table(pa.concat_tables([old, pa.Table.from_pylist([row, row], schema=old.schema)]), p)
+    out = str(tmp_path / "dupout")
+    run_validation(d, out, ValidationConfig())
+
+    def rows() -> Counter:
+        files = sorted(glob.glob(os.path.join(out, "violations", "*.parquet")))
+        return Counter(tuple(r.values()) for f in files for r in pq.read_table(f).to_pylist())
+
+    before = rows()
+    assert before[("conv-dup-1", 0, "text_too_short", None)] == 2
+    assert before[("conv-dup-1", 0, "metrics_missing", None)] == 2
+    refresh_metrics(d, out, ValidationConfig())
+    assert rows() == before
 
 
 def test_cli_query_list_and_run():

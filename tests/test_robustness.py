@@ -25,7 +25,7 @@ def test_core_six_columns_only(ray_session, tmp_path):
     core = [f.name for f in TRANSCRIPT_SCHEMA]
     for f in glob.glob(d + "/part-*.parquet"):
         pq.write_table(pq.read_table(f, columns=core), f)
-    s = run_validation(d, o, ValidationConfig(), write_annotated=False)
+    s = run_validation(d, o, ValidationConfig())
     vio = read_violations(o)
     # metric-dependent checks silently skip; text/key checks still fire
     assert not set(vio.check_id) & {"low_engagement", "metrics_missing"}
@@ -39,7 +39,7 @@ def test_empty_partition(ray_session, tmp_path):
     # add an empty partition file with the full schema
     first = pq.read_table(sorted(glob.glob(d + "/part-*.parquet"))[0])
     pq.write_table(first.slice(0, 0), os.path.join(d, "part-00099.parquet"))
-    s = run_validation(d, o, ValidationConfig(), write_annotated=False)
+    s = run_validation(d, o, ValidationConfig())
     vio = read_violations(o)
     # empty partition: no violations (in particular no spurious drift), passes
     assert len(vio) == 0
@@ -57,7 +57,7 @@ def test_multi_row_group_file(ray_session, tmp_path):
     tbl = pq.read_table(f)
     pq.write_table(tbl, f, row_group_size=97)  # force ~10 row groups
     assert pq.ParquetFile(f).num_row_groups > 5
-    s = run_validation(d, o, ValidationConfig(), write_annotated=True)
+    s = run_validation(d, o, ValidationConfig())
     assert s["rows_scanned"] == tbl.num_rows
     ann = pq.read_table(os.path.join(o, "annotated", "part-00000.parquet"))
     assert ann.num_rows == tbl.num_rows
@@ -90,7 +90,7 @@ def test_er_exemption_is_file_local_across_row_groups(ray_session, tmp_path):
     assert pq.ParquetFile(os.path.join(d, "part-00000.parquet")).num_row_groups == 2
     cfg = ValidationConfig(drift_chi2_threshold=1e9, drift_ks_threshold=1e9,
                            drift_quantile_rel_threshold=1e9)
-    run_validation(d, o, cfg, write_annotated=False)
+    run_validation(d, o, cfg)
     vio = read_violations(o)
     low_er = vio[vio.check_id == "low_engagement"]
     # rows 0..4 flagged (all low ER at volume), row 5 (file-local last) exempt
@@ -110,9 +110,9 @@ def test_poison_partition_isolated_and_retried(ray_session, tmp_path):
 
     # fail-fast default still raises
     with pytest.raises(Exception):
-        run_validation(d, str(tmp_path / "raise_out"), ValidationConfig(), write_annotated=False)
+        run_validation(d, str(tmp_path / "raise_out"), ValidationConfig())
 
-    s1 = run_validation(d, o, ValidationConfig(), write_annotated=False, on_error="skip")
+    s1 = run_validation(d, o, ValidationConfig(), on_error="skip")
     assert list(s1["partitions_error"]) == ["part-00001"]
     assert s1["n_partitions"] == 4 and s1["rows_scanned"] > 0
     # no checkpoint record for the poisoned partition -> retried on resume
@@ -123,7 +123,7 @@ def test_poison_partition_isolated_and_retried(ray_session, tmp_path):
     # fix the file; resume validates ONLY it and recovers the exact manifest
     with open(victim, "wb") as fh:
         fh.write(original)
-    s2 = run_validation(d, o, ValidationConfig(), write_annotated=False, on_error="skip")
+    s2 = run_validation(d, o, ValidationConfig(), on_error="skip")
     assert s2["partitions_error"] == {}
     assert s2["n_validated_now"] == 1 and s2["n_resumed"] == 3
     got = read_violations(o)[["conv_id", "turn_idx", "check_id"]].drop_duplicates()
@@ -143,7 +143,7 @@ def test_poison_first_partition_profile_fallback(ray_session, tmp_path):
     original = open(files[0], "rb").read()
     with open(files[0], "wb") as fh:
         fh.write(b"garbage")
-    s = run_validation(d, o, ValidationConfig(), write_annotated=False, on_error="skip")
+    s = run_validation(d, o, ValidationConfig(), on_error="skip")
     assert list(s["partitions_error"]) == ["part-00000"]
     assert s["global_checks_skipped"] is True
     assert s["violations_global"] == 0  # never computed over a partial corpus
@@ -151,7 +151,7 @@ def test_poison_first_partition_profile_fallback(ray_session, tmp_path):
     # fix + rerun: full manifest recovered, global checks recomputed
     with open(files[0], "wb") as fh:
         fh.write(original)
-    s2 = run_validation(d, o, ValidationConfig(), write_annotated=False, on_error="skip")
+    s2 = run_validation(d, o, ValidationConfig(), on_error="skip")
     assert s2["partitions_error"] == {} and s2["global_checks_skipped"] is False
     got = read_violations(o)[["conv_id", "turn_idx", "check_id"]].drop_duplicates()
     exp = pq.read_table(os.path.join(d, "expected_violations.parquet")).to_pandas()[
@@ -167,7 +167,7 @@ ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ER
 from teleharvest_ray.config import ValidationConfig
 from teleharvest_ray.pipelines.validate import run_validation
 cfg = ValidationConfig(validator_num_cpus=2.0)  # more than the session has
-print(json.dumps(run_validation(sys.argv[1], sys.argv[2], cfg, write_annotated=False), default=str))
+print(json.dumps(run_validation(sys.argv[1], sys.argv[2], cfg), default=str))
 """
 
 

@@ -148,20 +148,20 @@ def test_delta_repeating_a_prefix_key_rebuilds_sidecars_whole(ray_session, tmp_p
     d = str(tmp_path / "rep")
     generate(d, GenSpec(n_convs=40, n_files=2, seed=41))
     out = str(tmp_path / "rep_out")
-    run_validation(d, out, ValidationConfig(), write_annotated=False)
+    run_validation(d, out, ValidationConfig())
     p = os.path.join(d, "part-00001.parquet")
     old = pq.read_table(p)
     pq.write_table(pa.concat_tables([old, old.slice(0, 3)]), p)
-    s = run_validation(d, out, ValidationConfig(), write_annotated=False)
+    s = run_validation(d, out, ValidationConfig())
     assert s["n_validated_now"] == 1 and s["rows_scanned"] == sum(
         pq.ParquetFile(os.path.join(d, f"part-0000{i}.parquet")).metadata.num_rows for i in (0, 1)
     )
     ctl = str(tmp_path / "rep_ctl")
-    run_validation(d, ctl, ValidationConfig(), write_annotated=False)
+    run_validation(d, ctl, ValidationConfig())
 
     def sidecars(root):
         rec = CheckpointStore(os.path.join(root, "checkpoints")).read("part-00001")
-        return rec["keyspace_blob"], rec["keyspace_partials"]
+        return os.path.join(root, rec["keyspace_blob"]), os.path.join(root, rec["keyspace_partials"])
 
     for got, want in zip(sidecars(out), sidecars(ctl)):
         assert os.path.basename(got) == os.path.basename(want)
@@ -187,17 +187,17 @@ def test_capability_probe_disables_scoring(ray_session, tmp_path):
         raise RuntimeError("no credits")
 
     out_probe = str(tmp_path / "probe_out")
-    run_validation(d, out_probe, ValidationConfig(), write_annotated=False, capability_probe=boom)
+    run_validation(d, out_probe, ValidationConfig(), capability_probe=boom)
     out_flag = str(tmp_path / "flag_out")
-    run_validation(d, out_flag, replace(ValidationConfig(), scoring_enabled=False), write_annotated=False)
+    run_validation(d, out_flag, replace(ValidationConfig(), scoring_enabled=False))
     vp, vf = read_violations(out_probe), read_violations(out_flag)
     assert _vio_set(vp) == _vio_set(vf)
     assert not (vp.check_id.isin(["low_score", "low_score_alt"])).any()
     # a passing probe keeps scoring on
     out_ok = str(tmp_path / "ok_out")
-    run_validation(d, out_ok, ValidationConfig(), write_annotated=False, capability_probe=lambda: True)
+    run_validation(d, out_ok, ValidationConfig(), capability_probe=lambda: True)
     out_ctl = str(tmp_path / "ctl_out")
-    run_validation(d, out_ctl, ValidationConfig(), write_annotated=False)
+    run_validation(d, out_ctl, ValidationConfig())
     assert _vio_set(read_violations(out_ok)) == _vio_set(read_violations(out_ctl))
 
 
@@ -213,13 +213,13 @@ def test_grown_partition_without_sidecars_full_rescans(ray_session, tmp_path):
     d = str(tmp_path / "oldfmt")
     generate(d, GenSpec(n_convs=40, n_files=2, seed=33))
     out = str(tmp_path / "oldfmt_out")
-    run_validation(d, out, ValidationConfig(), write_annotated=False)
+    run_validation(d, out, ValidationConfig())
     for f in _glob.glob(os.path.join(out, "keyspace", "part-00000-*")):
         os.unlink(f)
-    s = run_validation(d, out, ValidationConfig(), write_annotated=False)
+    s = run_validation(d, out, ValidationConfig())
     assert s["n_validated_now"] == 1 and s["n_resumed"] == 1
     ctl = str(tmp_path / "oldfmt_ctl")
-    run_validation(d, ctl, ValidationConfig(), write_annotated=False)
+    run_validation(d, ctl, ValidationConfig())
     assert _vio_set(read_violations(out)) == _vio_set(read_violations(ctl))
     # simulate an older-release record: drop the sidecar files
     for f in _glob.glob(os.path.join(out, "keyspace", "part-00001-*")):
@@ -243,9 +243,51 @@ def test_grown_partition_without_sidecars_full_rescans(ray_session, tmp_path):
         }
     )
     pq.write_table(pa.concat_tables([old, pa.Table.from_pandas(ap, schema=old.schema, preserve_index=False)]), p)
-    run_validation(d, out, ValidationConfig(), write_annotated=False)
+    run_validation(d, out, ValidationConfig())
     got = read_violations(out)
     assert (dup_conv, 0, "dup_key") in _vio_set(got)
+    # a record whose annotated file is gone: a delta has no prefix to derive
+    # the partition's violations from, so the grown partition is rescanned
+    # in full
+    ann = os.path.join(out, "annotated", "part-00001.parquet")
+    os.unlink(ann)
+    grown = pq.read_table(p)
+    pq.write_table(pa.concat_tables([grown, grown.slice(grown.num_rows - 1)]), p)
+    s = run_validation(d, out, ValidationConfig())
+    assert s["n_validated_now"] == 1 and s["n_resumed"] == 1
+    assert pq.ParquetFile(ann).metadata.num_rows == grown.num_rows + 1
+    ctl = str(tmp_path / "oldfmt_ctl2")
+    run_validation(d, ctl, ValidationConfig())
+    assert _vio_set(read_violations(out)) == _vio_set(read_violations(ctl))
+
+
+def test_moved_output_directory_resumes_in_place(ray_session, tmp_path):
+    """Records name their sidecars relative to the output directory: a
+    validated output directory moved elsewhere resumes with nothing to
+    revalidate and the same violations. A record that names them absolutely,
+    as earlier releases wrote, still resumes."""
+    import shutil
+
+    from teleharvest_ray.state.checkpoint import CheckpointStore
+
+    d = str(tmp_path / "data")
+    generate(d, GenSpec(n_convs=40, n_files=2, seed=35))
+    first, moved = str(tmp_path / "first"), str(tmp_path / "moved")
+    run_validation(d, first, ValidationConfig())
+    want = _vio_set(read_violations(first))
+    shutil.move(first, moved)
+    s = run_validation(d, moved, ValidationConfig())
+    assert s["n_validated_now"] == 0 and s["n_resumed"] == 2
+    assert _vio_set(read_violations(moved)) == want
+
+    store = CheckpointStore(os.path.join(moved, "checkpoints"))
+    rec = store.read("part-00000")
+    for k in ("keyspace_blob", "keyspace_partials"):
+        assert not os.path.isabs(rec[k])
+        rec[k] = os.path.abspath(os.path.join(moved, rec[k]))
+    store.write("part-00000", rec)
+    s = run_validation(d, moved, ValidationConfig())
+    assert s["n_validated_now"] == 0 and s["n_resumed"] == 2
 
 
 def test_replaced_partition_full_rescans(ray_session, tmp_path):
@@ -256,16 +298,16 @@ def test_replaced_partition_full_rescans(ray_session, tmp_path):
     d = str(tmp_path / "swap")
     generate(d, GenSpec(n_convs=40, n_files=2, seed=34))
     out = str(tmp_path / "swap_out")
-    run_validation(d, out, ValidationConfig(), write_annotated=False)
+    run_validation(d, out, ValidationConfig())
     p = os.path.join(d, "part-00000.parquet")
     old = pq.read_table(p)
     df = old.to_pandas()
     df.loc[1, ["conv_id", "turn_idx"]] = df.loc[0, ["conv_id", "turn_idx"]].to_numpy()  # a new dup key
     pq.write_table(pa.Table.from_pandas(df, schema=old.schema, preserve_index=False), p)
-    s = run_validation(d, out, ValidationConfig(), write_annotated=False)
+    s = run_validation(d, out, ValidationConfig())
     assert s["n_validated_now"] == 1 and s["n_resumed"] == 1
     ctl = str(tmp_path / "swap_ctl")
-    run_validation(d, ctl, ValidationConfig(), write_annotated=False)
+    run_validation(d, ctl, ValidationConfig())
     assert _vio_set(read_violations(out)) == _vio_set(read_violations(ctl))
 
 
@@ -285,7 +327,7 @@ def test_run_releases_session_cpus(ray_session, cpus_free, tmp_path):
     assert cpus_free(), ray.available_resources()
     gc.disable()
     try:
-        run_validation(d, str(tmp_path / "out"), ValidationConfig(), write_annotated=False)
+        run_validation(d, str(tmp_path / "out"), ValidationConfig())
         assert cpus_free(), ray.available_resources()
     finally:
         gc.enable()
@@ -313,7 +355,7 @@ def test_phase1_runs_one_validator_per_session_cpu(ray_session, cpus_free, tmp_p
         return map_batches(self, fn, *args, **kw)
 
     with mock.patch.object(rd.Dataset, "map_batches", spy):
-        s = run_validation(d, str(tmp_path / "out"), write_annotated=False)
+        s = run_validation(d, str(tmp_path / "out"))
     assert s["n_validated_now"] == 6
     assert [(kw["num_cpus"], kw["concurrency"]) for kw in pools] == [(1, 4)]
 
@@ -328,7 +370,7 @@ def test_index_change_recomputes_global_checks(ray_session, tmp_path):
     d = str(tmp_path / "idx")
     generate(d, GenSpec(n_files=4, seed=3))
     out = str(tmp_path / "idx_out")
-    run_validation(d, out, ValidationConfig(), write_annotated=False)
+    run_validation(d, out, ValidationConfig())
     vio = read_violations(out)
     orphans = sorted(set(vio.loc[vio.check_id == "orphan_conv", "conv_id"]))
     assert orphans
@@ -336,10 +378,10 @@ def test_index_change_recomputes_global_checks(ray_session, tmp_path):
     index = pq.read_table(index_path)
     added = pa.table({"conv_id": orphans, "n_turns": [1] * len(orphans)}, schema=index.schema)
     pq.write_table(pa.concat_tables([index, added]), index_path)
-    s = run_validation(d, out, ValidationConfig(), write_annotated=False)
+    s = run_validation(d, out, ValidationConfig())
     assert s["n_validated_now"] == 0
     ctl = str(tmp_path / "idx_ctl")
-    fresh = run_validation(d, ctl, ValidationConfig(), write_annotated=False)
+    fresh = run_validation(d, ctl, ValidationConfig())
     assert s["violations_global"] == fresh["violations_global"]
     got = read_violations(out)
     assert _vio_set(got) == _vio_set(read_violations(ctl))
@@ -355,7 +397,7 @@ def test_incremental_two_successive_appends(ray_session, tmp_path):
     d = str(tmp_path / "inc2")
     generate(d, GenSpec(n_convs=50, n_files=2, seed=41))
     out = str(tmp_path / "inc2_out")
-    run_validation(d, out, ValidationConfig(), write_annotated=False)
+    run_validation(d, out, ValidationConfig())
     p = os.path.join(d, "part-00000.parquet")
     longtext = "ok " * 100
     for wave, convs in enumerate((["conv-w1"], ["conv-w1", "conv-w2"])):
@@ -380,10 +422,10 @@ def test_incremental_two_successive_appends(ray_session, tmp_path):
         pq.write_table(
             pa.concat_tables([old, pa.Table.from_pandas(ap, schema=old.schema, preserve_index=False)]), p
         )
-        s = run_validation(d, out, ValidationConfig(), write_annotated=False)
+        s = run_validation(d, out, ValidationConfig())
         assert s["n_validated_now"] == 1 and s["n_resumed"] == 1
     ctl = str(tmp_path / "inc2_ctl")
-    run_validation(d, ctl, ValidationConfig(), write_annotated=False)
+    run_validation(d, ctl, ValidationConfig())
     assert _vio_set(read_violations(out)) == _vio_set(read_violations(ctl))
 
 
@@ -397,9 +439,9 @@ def test_compare_runs_detects_distribution_shift(ray_session, tmp_path):
     d2 = str(tmp_path / "v2")
     generate(d2, GenSpec(n_convs=60, n_files=3, seed=61, drift_files=1))  # one drifted file shifts the merged stats
     o1, o1b, o2 = (str(tmp_path / n) for n in ("o1", "o1b", "o2"))
-    run_validation(d1, o1, ValidationConfig(), write_annotated=False)
-    run_validation(d1, o1b, ValidationConfig(), write_annotated=False)
-    run_validation(d2, o2, ValidationConfig(), write_annotated=False)
+    run_validation(d1, o1, ValidationConfig())
+    run_validation(d1, o1b, ValidationConfig())
+    run_validation(d2, o2, ValidationConfig())
     same = compare_runs(o1, o1b)
     assert same["role_chi2"] == 0.0 and same["text_len_ks"] == 0.0
     shifted = compare_runs(o1, o2)
@@ -424,7 +466,7 @@ def test_failed_run_releases_session_cpus(ray_session, cpus_free, tmp_path):
     gc.disable()
     try:
         with pytest.raises(Exception):
-            run_validation(d, str(tmp_path / "out"), ValidationConfig(), write_annotated=False)
+            run_validation(d, str(tmp_path / "out"), ValidationConfig())
         assert cpus_free(timeout_s=5.0), ray.available_resources()
     finally:
         gc.enable()
