@@ -5278,7 +5278,11 @@ def q_phrase_search(sf_dir: str) -> pd.DataFrame:
     from ..functions.ngrams import chain_gram_hashes, explode_tokens
 
     ds = rd.read_parquet(_p(sf_dir, "documents"), columns=["doc_id", "text"])
-    first = ds.filter(expr="doc_id == 0").take(1)[0]["text"]
+    # doc 0 is read with a pushed-down filter, not a Ray Data filter + take:
+    # a satisfied take cancels the Filter tasks still running, and in Ray
+    # 2.49 a task reply that races that cancel can abort the driver
+    doc0 = pq.read_table(_p(sf_dir, "documents"), columns=["text"], filters=[("doc_id", "==", 0)])
+    first = doc0["text"][0].as_py()
     phrase = " ".join(first.split(" ")[:3]) if first else ""
     prow, pwh = explode_tokens(np.array([phrase], dtype=object), sep=" ")
     _, pgh = chain_gram_hashes(prow, pwh, 3)

@@ -14,17 +14,30 @@ Ray Data:
   a killed run resumes by replaying only partitions without a record. The
   annotated file, always written, keeps only what the chain adds, one row
   per input row in partition order; :func:`read_annotated` rebuilds the
-  input columns and the text rewrites from the input file. A partition that
-  grew since its record is scanned as a delta: the chain runs over the new
-  rows only, and its violation rows are rebuilt whole by the one
-  :func:`chain_violations`, from the annotated prefix and the new rows.
-  Records name their sidecars relative to the output directory, so a moved
-  output directory resumes in place.
+  input columns and the text rewrites from the input file.
+- **Segments.** A partition's outputs are a list of segments, each covering
+  input rows ``[start, next start)``: its annotated rows, its violation
+  rows, its sorted key run and its conversation partials. The first segment
+  has the plain names (``annotated/{pid}.parquet``,
+  ``violations/{pid}.parquet``); a later one the flat sibling name
+  ``{pid}+{start}.parquet``. A partition that grew since its record is
+  scanned as a delta (the reference's watermark, ``processor.py:59-63``):
+  the chain, the stats and the key state run over the new rows only, and
+  they are written as one new segment; no earlier segment is read or
+  rewritten, except the first segment's violation file when the
+  partition's drift row changes. A delta that would make more than
+  :data:`_MAX_SEGMENTS` segments folds instead: the partition is rewritten
+  as one segment from its annotated segments and the new rows. It deletes
+  the other segments' annotated and violation files before it writes its
+  own, so no two files ever hold the same rows, and their sidecars once its
+  record is durable. The record lists the segments; records name their
+  sidecars relative to the output directory, so a moved output directory
+  resumes in place.
 - **Phase 2 — key-space checks** (the PK/watermark discipline,
   ``models/message.py:34-36,75-89``): dup/seq/orphan violations from the
   sorted key-run and conversation-partial sidecars phase 1 wrote per
-  partition, merged hash range by hash range; a partition's data file is
-  read again only when its sidecars hold a candidate
+  segment, merged hash range by hash range; a partition's data file is
+  read again only when one of its segments' sidecars holds a candidate
   (``stages/keyspace.py``, which alone knows the sidecar formats). While the
   key space is one hash range (up to ``keyspace._KEYS_PER_RANGE`` keys), the
   whole phase runs on the driver with no Ray task; above that it runs as Ray
@@ -52,6 +65,7 @@ import time
 import traceback
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
@@ -89,13 +103,120 @@ from ..state.checkpoint import CheckpointStore, atomic_write_parquet
 from ..state.profile import ReferenceProfile, build_profile
 
 
+#: most segments a partition keeps: a delta that would add one more folds
+#: the partition into a single segment instead. This is the LSM trade of
+#: append-then-merge. A fold rewrites the whole partition, so across a run of
+#: deltas it adds at most 1/8 of the partition's output per delta; in
+#: return, phase 2, :func:`read_annotated` and the refreshes open at most 8
+#: files of each kind per partition.
+_MAX_SEGMENTS = 8
+
+#: a checkpoint record's ``segments`` list, one entry per segment in row
+#: order: its first input row, its two sidecars (relative to the output
+#: directory), the digest of its sorted keys and its violation row count
+_SEGMENTS_TYPE = pa.list_(
+    pa.struct(
+        [
+            ("start", pa.int64()),
+            ("blob", pa.string()),
+            ("partials", pa.string()),
+            ("digest", pa.string()),
+            ("violations", pa.int64()),
+        ]
+    )
+)
+
+KEY_COLS = ["conv_id", "turn_idx"]
+
+
+def _segments(rec: dict | None) -> list[dict]:
+    """The segments a checkpoint record lists. A record without the list,
+    as earlier releases wrote, is one segment at row 0."""
+    rec = rec or {}
+    if "segments" in rec:
+        return rec["segments"]
+    return [
+        {
+            "start": 0,
+            "blob": rec.get("keyspace_blob") or "",
+            "partials": rec.get("keyspace_partials") or "",
+            "digest": rec.get("keyspace_digest") or "",
+            "violations": rec.get("violations", 0),
+        }
+    ]
+
+
+def _segment_name(pid: str, start: int) -> str:
+    """The file stem of partition ``pid``'s segment at row ``start``: the
+    first segment keeps the plain ``pid``, a later one is the flat sibling
+    ``{pid}+{start}``, so ``violations/*.parquet`` still lists every
+    violation file."""
+    return f"{pid}+{start}" if start else pid
+
+
+def _output(out_dir: str, kind: str, pid: str, start: int) -> str:
+    """The ``kind`` (``annotated`` or ``violations``) file of a segment."""
+    return os.path.join(out_dir, kind, _segment_name(pid, start) + ".parquet")
+
+
+def segment_stems(pid: str) -> tuple[str, str]:
+    """Glob patterns of the file stems of partition ``pid``'s segments: the
+    first segment's, and every later one's (:func:`_segment_name`). No input
+    stem holds ``+`` (:func:`run_validation` refuses one), so they match
+    ``pid``'s files only."""
+    stem = glob.escape(pid)
+    return stem, stem + "+*"
+
+
+def segment_files(out_dir: str, kind: str, rec: dict) -> list[tuple[int, int, str]]:
+    """``(start, stop, path)`` of each segment a checkpoint record lists, in
+    row order: the segment's ``kind`` (``annotated`` or ``violations``) file
+    covers input rows ``[start, stop)``."""
+    starts = [s["start"] for s in _segments(rec)]
+    stops = starts[1:] + [int(rec["rows_scanned"])]
+    return [(a, b, _output(out_dir, kind, rec["partition_id"], a)) for a, b in zip(starts, stops)]
+
+
+def _sidecars(out_dir: str, rec: dict) -> tuple[list, list]:
+    """The (key runs, partials) sidecar paths of a record's segments.
+    Records store them relative to the output directory, so a moved output
+    directory still finds its own; an earlier release's absolute path
+    resolves to itself."""
+    segs = _segments(rec)
+    return [os.path.join(out_dir, s["blob"]) for s in segs], [os.path.join(out_dir, s["partials"]) for s in segs]
+
+
+def _annotated_segments(out_dir: str, rec: dict, columns=None) -> list[tuple[int, int, pa.Table]]:
+    """``(start, stop, rows)`` of each annotated segment a record lists, the
+    rows cut to the record's ``[start, stop)``: a longer file holds rows
+    that an earlier release's killed delta wrote past them."""
+    return [
+        (a, b, pq.read_table(f, columns=columns).slice(0, b - a))
+        for a, b, f in segment_files(out_dir, "annotated", rec)
+    ]
+
+
+def _read_rows(pf: pq.ParquetFile, start: int, stop: int, columns=None) -> pa.Table:
+    """Rows ``[start, stop)`` of a parquet file, read from the row groups
+    that hold them only."""
+    groups, first, lo = [], 0, 0
+    for rg in range(pf.num_row_groups):
+        hi = lo + pf.metadata.row_group(rg).num_rows
+        if lo < stop and hi > start:
+            if not groups:
+                first = lo
+            groups.append(rg)
+        lo = hi
+    return pf.read_row_groups(groups, columns=columns).slice(start - first, stop - start)
+
+
 def _annotated_columns(cfg: ValidationConfig) -> list[str]:
     """The columns of an annotated file: the row key and the chain columns,
     less the text rewrites :func:`read_annotated` rebuilds from the input
     (:func:`with_text_columns`). A non-builtin scorer's ``alt`` cannot be
     rebuilt, so it is kept."""
     drop = ("text_norm", "alt") if cfg.scorer == "builtin" else ("text_norm",)
-    return ["conv_id", "turn_idx"] + [c for c in CHAIN_SCHEMA.names if c not in drop]
+    return KEY_COLS + [c for c in CHAIN_SCHEMA.names if c not in drop]
 
 
 class PartitionValidator:
@@ -111,20 +232,22 @@ class PartitionValidator:
 
     def __call__(self, batch) -> pa.Table:
         records = []
-        start_rows = batch["start_row"] if "start_row" in batch else [0] * len(batch["path"])
-        for path, pid, sr in zip(batch["path"], batch["pid"], start_rows):
+        for path, pid, sr, ss in zip(batch["path"], batch["pid"], batch["start_row"], batch["seg_start"]):
             # poison-partition isolation: at target scale one corrupt file
             # must not kill a multi-hour run — record the failure, keep going
             # (the partition gets no checkpoint record, so the next run
             # retries it)
             if self.on_error == "skip":
                 try:
-                    records.append(self._one(str(path), str(pid), int(sr)))
+                    records.append(self._one(str(path), str(pid), int(sr), int(ss)))
                 except Exception as e:  # noqa: BLE001 — isolation boundary
                     records.append(self._error_record(str(pid), str(path), e))
             else:
-                records.append(self._one(str(path), str(pid), int(sr)))
-        return pa.Table.from_pylist(records)
+                records.append(self._one(str(path), str(pid), int(sr), int(ss)))
+        # the segments typed explicitly: a failure record's empty list has no
+        # item type to infer
+        segments = pa.array([r.pop("segments") for r in records], _SEGMENTS_TYPE)
+        return pa.Table.from_pylist(records).append_column("segments", segments)
 
     @staticmethod
     def _error_record(pid: str, path: str, err: Exception) -> dict:
@@ -136,8 +259,7 @@ class PartitionValidator:
             "violations": 0,
             "pass": False,
             "sketch_state": b"",
-            "keyspace_partials": "",
-            "keyspace_blob": "",
+            "segments": [],
             "keyspace_digest": "",
             "input_file": path,
             "input_size": -1,
@@ -146,19 +268,23 @@ class PartitionValidator:
             "error": f"{type(err).__name__}: {err}",
         }
 
-    def _one(self, path: str, pid: str, start_row: int = 0) -> dict:
-        """Validate rows ``[start_row, end)`` of the partition. ``start_row
-        > 0`` is the ROW-LEVEL INCREMENTAL path (the reference's watermark:
-        only rows past the last validated id are fetched, processor.py:59-63,
-        models/message.py:75-89, under the same append-only/id-monotone
-        contract): only the delta rows run the chain and the stats, and the
-        last-turn ER exemption is scoped to the delta (the reference's
-        per-fetched-batch semantics, processor.py:76-77), but the outputs
-        describe the WHOLE partition. The prefix's violation rows come from
-        its annotated rows through the same :func:`chain_violations`, never
-        from the old violations file, so a delta scanned twice writes them
-        once. The key-space state is built from the whole partition's key
-        columns on every scan, so the sidecars never merge a prefix's."""
+    def _one(self, path: str, pid: str, start_row: int = 0, seg_start: int = 0) -> dict:
+        """Validate rows ``[start_row, end)`` of the partition and write rows
+        ``[seg_start, end)`` as one segment.
+
+        ``start_row > 0`` is the ROW-LEVEL INCREMENTAL path (the reference's
+        watermark: only rows past the last validated id are fetched,
+        processor.py:59-63, models/message.py:75-89, under the same
+        append-only/id-monotone contract): only the delta rows run the chain
+        and the stats, the last-turn ER exemption is scoped to the delta (the
+        reference's per-fetched-batch semantics, processor.py:76-77), and the
+        record's sketch merges the prefix's. A delta (``seg_start ==
+        start_row``) writes a new segment from its own rows only: its
+        annotated and violation rows, and its key state. A fold
+        (``seg_start == 0``) rewrites the whole partition as one segment: the
+        prefix's chain record comes from its annotated segments, and its
+        violation rows from the same :func:`chain_violations`, never from old
+        violation files, so a delta scanned twice writes them once."""
         t0 = time.perf_counter()
         # stat BEFORE the scan: rows appended concurrently with this scan are
         # not covered by the recorded size/mtime, so the next resume's stat
@@ -166,16 +292,16 @@ class PartitionValidator:
         # mark them validated without ever reading them)
         st_pre = os.stat(path)
         # annotated rows keep only what the chain adds, narrowed per row
-        # group so the wide table never exists whole; row i of the file is
-        # row i of the partition
+        # group so the wide table never exists whole; row i of a segment's
+        # file is row start + i of the partition
         keep = _annotated_columns(self.cfg)
-        ann_path = os.path.join(self.out_dir, "annotated", f"{pid}.parquet")
+        old = CheckpointStore(os.path.join(self.out_dir, "checkpoints")).read(pid) if start_row else None
         prefix = None
-        if start_row:
-            # narrowed, if an older run wrote it wide; cut to start_row, if a
-            # killed scan already appended this delta; rescanned whole, if an
-            # earlier release left it shorter than the prefix
-            prefix = pq.read_table(ann_path, columns=keep).slice(0, start_row)
+        if seg_start < start_row:
+            # a fold: narrowed, if an older run wrote a segment wide;
+            # rescanned whole, if an earlier release left it shorter than
+            # the prefix
+            prefix = pa.concat_tables([t for *_, t in _annotated_segments(self.out_dir, old, keep)])
             if prefix.num_rows < start_row:
                 start_row, prefix = 0, None
         # stream the partition ROW-GROUP-wise: peak actor memory is bounded by
@@ -184,15 +310,18 @@ class PartitionValidator:
         # exemption recasts the reference's per-batch flag, processor.py:76-77)
         # and the stats sketches merge associatively, so group-wise == whole.
         pf = pq.ParquetFile(path)
-        # the partition's key columns, one cheap two-column read: the whole
-        # of them is the partition's key-space state, and the fetched span's
-        # slice scopes the last-turn ER exemption to the fetch (per-conv max
-        # turn) even though the text columns stream row-group-wise
-        kt = pq.read_table(path, columns=["conv_id", "turn_idx"])
+        # the segment's key columns, one cheap two-column read: they are the
+        # segment's key-space state, and the fetched span's slice scopes the
+        # last-turn ER exemption to the fetch (per-conv max turn) even though
+        # the text columns stream row-group-wise
+        if seg_start:
+            kt = _read_rows(pf, seg_start, pf.metadata.num_rows, KEY_COLS)
+        else:
+            kt = pq.read_table(path, columns=KEY_COLS)
         # sorted-hash-array map, not a Python dict: ~12 B/conversation
         # (uint64 key + max) vs ~100+ B/entry for an object dict — the
         # heaviest per-task transient at multi-million-conv files
-        conv_last = build_conv_last(kt.slice(start_row))
+        conv_last = build_conv_last(kt.slice(start_row - seg_start))
         ks = prep_state(kt)
         ann_parts, vio_parts, stats = [], [], None
         cum = 0
@@ -216,9 +345,8 @@ class PartitionValidator:
             ann_parts, vio_parts = [ann_g.select(keep)], [chain_violations(ann_g)]
             stats = partition_stats(empty, self.cfg)
 
-        # Incremental path: the prefix's chain record joined with the input
-        # prefix's metric columns gives its violation rows, and its sketch
-        # folds back in (sketches merge associatively); the key state above
+        # A fold: the prefix's chain record joined with the input prefix's
+        # metric columns gives its violation rows; the key state above
         # already covers it.
         if prefix is not None:
             metrics = [c for c in METRIC_COLUMNS if c in pf.schema_arrow.names]
@@ -227,11 +355,11 @@ class PartitionValidator:
                 prefix = prefix.append_column(name, prefix_in[name])
             vio_parts.insert(0, chain_violations(prefix))
             ann_parts.insert(0, prefix.select(keep))
-            old = CheckpointStore(os.path.join(self.out_dir, "checkpoints")).read(pid)
-            if old is not None and old.get("sketch_state"):
-                stats = merge_stats(stats_from_bytes(old["sketch_state"]), stats)
+        # the prefix's sketch folds back in (sketches merge associatively)
+        if start_row and old is not None and old.get("sketch_state"):
+            stats = merge_stats(stats_from_bytes(old["sketch_state"]), stats)
         ann = pa.concat_tables(ann_parts)
-        vio = pa.concat_tables(vio_parts)
+        vio = filter_violations(pa.concat_tables(vio_parts), self.cfg)
 
         # key-space state piggybacks on this scan of the partition so phase 2
         # re-reads a partition only when its sidecars hold a candidate
@@ -239,7 +367,9 @@ class PartitionValidator:
         # (distributed, in the actor) and the lineage record carries only
         # their paths, relative to the output directory, + digest, so at
         # 10^12 keys the driver never holds them.
-        blob_path, partials_path, blob_digest = write_sidecars(ks, os.path.join(self.out_dir, "keyspace"), pid)
+        blob_path, partials_path, blob_digest = write_sidecars(
+            ks, os.path.join(self.out_dir, "keyspace"), _segment_name(pid, seg_start)
+        )
 
         # drift is a whole-partition distribution check → merged stats
         findings = (
@@ -247,32 +377,59 @@ class PartitionValidator:
             if ("drift" in self.cfg.disabled_checks or stats["n_rows"] == 0)
             else drift_check(stats, self.profile, self.cfg)
         )
-        if findings:
-            vio = pa.concat_tables(
-                [
-                    vio,
-                    pa.table(
-                        {
-                            "conv_id": pa.array([f"partition:{pid}"], pa.string()),
-                            "turn_idx": pa.array([-1], pa.int32()),
-                            "check_id": pa.array(["drift"], pa.string()),
-                            "detail": pa.array([";".join(findings)], pa.string()),
-                        }
-                    ),
-                ]
-            )
-        vio = filter_violations(vio, self.cfg)
-        atomic_write_parquet(vio, os.path.join(self.out_dir, "violations", f"{pid}.parquet"))
-        atomic_write_parquet(ann, ann_path)
+        n_drift = 1 if findings else 0
+        drift = filter_violations(
+            pa.table(
+                {
+                    "conv_id": pa.array([f"partition:{pid}"] * n_drift, pa.string()),
+                    "turn_idx": pa.array([-1] * n_drift, pa.int32()),
+                    "check_id": pa.array(["drift"] * n_drift, pa.string()),
+                    "detail": pa.array([";".join(findings)] * n_drift, pa.string()),
+                }
+            ),
+            self.cfg,
+        )
+        segs = [s for s in _segments(old) if s["start"] < seg_start]
+        if seg_start:
+            # the drift row depends on the merged stats, so it is the one
+            # prefix row a delta may replace. It lives in the first segment's
+            # violation file, which is rewritten only when the row changed.
+            first_path = _output(self.out_dir, "violations", pid, 0)
+            first = pq.read_table(first_path)
+            is_drift = pc.equal(first["check_id"], "drift")
+            if not first.filter(is_drift).equals(drift):
+                first = pa.concat_tables([first.filter(pc.invert(is_drift)), drift])
+                atomic_write_parquet(first, first_path)
+            segs[0] = {**segs[0], "violations": first.num_rows}
+        else:
+            vio = pa.concat_tables([vio, drift])
+            # a fold or full scan replaces every later segment. They go before
+            # the first segment is written, so no two files ever hold the same
+            # rows; a scan killed after this leaves a record naming missing
+            # files, which the work list rescans in full.
+            for kind in ("annotated", "violations"):
+                for f in glob.glob(os.path.join(self.out_dir, kind, segment_stems(pid)[1] + ".parquet")):
+                    os.unlink(f)
+        atomic_write_parquet(vio, _output(self.out_dir, "violations", pid, seg_start))
+        atomic_write_parquet(ann, _output(self.out_dir, "annotated", pid, seg_start))
+        segs.append(
+            {
+                "start": seg_start,
+                "blob": os.path.relpath(blob_path, self.out_dir),
+                "partials": os.path.relpath(partials_path, self.out_dir),
+                "digest": blob_digest,
+                "violations": vio.num_rows,
+            }
+        )
+        n_vio = sum(s["violations"] for s in segs)
         return {
             "partition_id": pid,
-            "rows_scanned": ann.num_rows,
-            "violations": vio.num_rows,
-            "pass": vio.num_rows == 0,
+            "rows_scanned": seg_start + ann.num_rows,
+            "violations": n_vio,
+            "pass": n_vio == 0,
             "sketch_state": stats_to_bytes(stats),
-            "keyspace_partials": os.path.relpath(partials_path, self.out_dir),
-            "keyspace_blob": os.path.relpath(blob_path, self.out_dir),
-            "keyspace_digest": blob_digest,
+            "segments": segs,
+            "keyspace_digest": _hashlib.sha256("".join(s["digest"] for s in segs).encode()).hexdigest(),
             "input_file": os.path.abspath(path),
             "input_size": st_pre.st_size,
             "input_mtime": st_pre.st_mtime,
@@ -320,14 +477,6 @@ def release_pool(free_cpus: float) -> None:
         time.sleep(0.05)
 
 
-def _sidecars(out_dir: str, rec: dict) -> tuple[str, str]:
-    """The (key run, partials) sidecar paths a checkpoint record names.
-    Records store them relative to the output directory, so a moved output
-    directory still finds its own; an earlier release's absolute path
-    resolves to itself."""
-    return tuple(os.path.join(out_dir, rec.get(k) or "") for k in ("keyspace_blob", "keyspace_partials"))
-
-
 def probe_scoring_capability(probe) -> bool:
     """Run the scoring capability probe ONCE at run start (the reference
     checks its credit balance before processing and disables scoring on
@@ -370,6 +519,10 @@ def run_validation(
     if not files:
         raise FileNotFoundError(f"no part-*.parquet under {data_dir}")
     pids = [os.path.splitext(os.path.basename(f))[0] for f in files]
+    if any("+" in p for p in pids):
+        # "+" separates a partition from a later segment's start row in the
+        # output names (_segment_name)
+        raise ValueError(f"input file names must not contain '+': {[p for p in pids if '+' in p]}")
     store = CheckpointStore(os.path.join(out_dir, "checkpoints"))
     done = (
         {pid: rec for pid, rec in store.completed().items() if not pid.startswith("_")}
@@ -402,23 +555,24 @@ def run_validation(
     # Work list. A partition with a record can still need work when the file
     # GREW since validation (the reference's watermark semantics: new rows
     # append under an id-monotone contract, processor.py:59-63) — only the
-    # delta rows [rows_scanned, end) revalidate; the prefix's violations are
-    # derived again from its annotated rows and its sketch merges in (the
-    # key state is rebuilt from the whole file). A shrunk/replaced file
-    # falls back to full revalidation. The growth probe is a footer-only
-    # read per already-validated file.
+    # delta rows [rows_scanned, end) revalidate, as a new segment, or as a
+    # fold past _MAX_SEGMENTS segments. A shrunk/replaced file falls back to
+    # full revalidation. The growth probe is a footer-only read per
+    # already-validated file.
     todo = []
     errors: dict[str, str] = {}
     for f, p in zip(files, pids):
         rec = done.get(p)
-        # phase 2 reads a partition's key state only from its sidecars, and a
-        # delta reads the prefix's chain record from its annotated file, so a
-        # record without them (an older format, or files removed) is
-        # revalidated in full: they must be rebuilt
-        if rec is None or not all(
-            map(os.path.isfile, (*_sidecars(out_dir, rec), os.path.join(out_dir, "annotated", f"{p}.parquet")))
-        ):
-            todo.append({"path": f, "pid": p, "start_row": 0})
+        # phase 2 reads a partition's key state only from its sidecars, a
+        # fold and read_annotated read its chain record from its annotated
+        # files, and a delta may rewrite the first violation file, so a
+        # record without them (an older format, files removed, or a fold
+        # killed before its record) is revalidated in full: they must be
+        # rebuilt
+        key_runs, partials = _sidecars(out_dir, rec)
+        outputs = [f for k in ("annotated", "violations") for *_, f in segment_files(out_dir, k, rec)] if rec else []
+        if rec is None or not all(map(os.path.isfile, key_runs + partials + outputs)):
+            todo.append({"path": f, "pid": p, "start_row": 0, "seg_start": 0})
             done.pop(p, None)
             continue
         # cheap stat pre-filter: footer only opens when size/mtime moved, so
@@ -439,7 +593,11 @@ def run_validation(
         # count unchanged (the file was REPLACED: equal-count appends can't
         # happen under the append-only contract): full rescan, else stale
         # violations/sketch/keyspace state survives the swap.
-        todo.append({"path": f, "pid": p, "start_row": n_rec if n_now > n_rec else 0})
+        if n_now > n_rec:
+            seg_start = n_rec if len(_segments(rec)) < _MAX_SEGMENTS else 0
+            todo.append({"path": f, "pid": p, "start_row": n_rec, "seg_start": seg_start})
+        else:
+            todo.append({"path": f, "pid": p, "start_row": 0, "seg_start": 0})
         done.pop(p)
     n_resumed = len(files) - len(todo) - len(errors)
     new_records = []
@@ -475,8 +633,9 @@ def run_validation(
                     store.write(rec["partition_id"], rec)
                     new_records.append(rec)
                     # the record is durable → superseded sidecar files can go
+                    key_runs, partials = _sidecars(out_dir, rec)
                     prune_sidecars(
-                        os.path.join(out_dir, "keyspace"), rec["partition_id"], set(_sidecars(out_dir, rec))
+                        os.path.join(out_dir, "keyspace"), segment_stems(rec["partition_id"]), {*key_runs, *partials}
                     )
             # per-stage execution stats (wall/cpu/memory per operator) for tuning
             try:
@@ -547,7 +706,8 @@ def run_validation(
             known = pq.read_table(conv_index_path, columns=["conv_id"])["conv_id"]
         # the sidecar paths and the index are all phase 2 needs: keyspace
         # merges the sidecars hash range by hash range, so the driver sees
-        # only candidates
+        # only candidates. One entry per data file, with the key runs and
+        # partials of all its segments, so a data file is read at most once.
         parts = [(f, *_sidecars(out_dir, all_records[p])) for f, p in zip(files, pids) if p in all_records]
         gvio = filter_violations(keyspace_from_states(parts, known), cfg)
         atomic_write_parquet(gvio, os.path.join(out_dir, "violations", "_global.parquet"))
@@ -582,27 +742,31 @@ def read_annotated(out_dir: str, pid: str) -> pa.Table:
     """Partition ``pid``'s annotated table as :func:`evaluate_chain` returned
     it: the input columns, then the chain columns.
 
-    The annotated file stores only the row key and what the chain adds
-    (:func:`_annotated_columns`), row *i* for input row *i*. The input rows
-    come from the file the partition's checkpoint record names, and the text
-    rewrites are rebuilt from them (:func:`with_text_columns`). Rows appended
-    to the input since validation are not read. Raises ``ValueError`` when
-    the input's keys differ from the stored ones: the file was replaced."""
-    ann = pq.read_table(os.path.join(out_dir, "annotated", f"{pid}.parquet"))
+    Each segment's annotated file stores only the row key and what the chain
+    adds (:func:`_annotated_columns`), row *i* for input row ``start + i``.
+    The input rows come from the file the partition's checkpoint record
+    names, and the text rewrites are rebuilt from them
+    (:func:`with_text_columns`). Rows appended to the input since validation
+    are not read. Raises ``ValueError`` when the input's keys differ from
+    the stored ones: the file was replaced, or when a segment holds fewer
+    rows than its record gives it; and ``FileNotFoundError`` when a segment
+    is missing: a fold or full scan of the partition was killed before its
+    record, and the next run rescans it."""
     rec = CheckpointStore(os.path.join(out_dir, "checkpoints")).read(pid)
     if rec is None:
         raise FileNotFoundError(f"no checkpoint record for {pid} under {out_dir}")
     pf = pq.ParquetFile(rec["input_file"])
-    groups, n = [], 0
-    while n < ann.num_rows and len(groups) < pf.num_row_groups:
-        n += pf.metadata.row_group(len(groups)).num_rows
-        groups.append(len(groups))
-    inp = pf.read_row_groups(groups).slice(0, ann.num_rows)
-    if not (inp["conv_id"].equals(ann["conv_id"]) and inp["turn_idx"].equals(ann["turn_idx"])):
-        raise ValueError(
-            f"{rec['input_file']} no longer holds the rows annotated for {pid}: the file was replaced"
-        )
-    return with_text_columns(inp, ann)
+    parts = []
+    for start, stop, ann in _annotated_segments(out_dir, rec):
+        if ann.num_rows < stop - start:
+            raise ValueError(f"{pid}'s annotated segment at row {start} holds {ann.num_rows} rows, not {stop - start}")
+        inp = _read_rows(pf, start, stop)
+        if not (inp["conv_id"].equals(ann["conv_id"]) and inp["turn_idx"].equals(ann["turn_idx"])):
+            raise ValueError(
+                f"{rec['input_file']} no longer holds the rows annotated for {pid}: the file was replaced"
+            )
+        parts.append(with_text_columns(inp, ann))
+    return pa.concat_tables(parts)
 
 
 def read_violations(out_dir: str):

@@ -10,19 +10,21 @@ per the north_rule:
 - **orphan_conv**: a ``conv_id`` present in turns but absent from the
   conversations index (referential resolution).
 
-Scale design (SURVEY.md §4). Phase 1 already reads every partition's key
-columns once per scan; while it does, each partition validator computes the
-partition's key state from the whole partition (:func:`prep_state`, one
-Arrow hash aggregate; a delta scan rebuilds it whole rather than merging the
-prefix's sidecars) and writes it as two sidecar files
-(:func:`write_sidecars`, the one writer of both formats): a SORTED run of
+Scale design (SURVEY.md §4). Phase 1 already reads the key columns of the
+rows it scans; while it does, each partition validator computes the key
+state of the segment it writes (:func:`prep_state`, one Arrow hash
+aggregate over the segment's rows: the whole partition for a full scan or a
+fold, the new rows for a delta, which never reads the prefix's keys) and
+writes it as two sidecar files (:func:`write_sidecars`, the one writer of
+both formats): a SORTED run of
 ``hash(conv_id, turn_idx)`` packed uint64s (8 bytes/row, the full composite
 key, so a hot conversation spreads over hash space while identical keys still
 collide) and an uncompressed Arrow IPC file of per-conversation partial
 sequence stats, SORTED by ``h = hash_strings(conv_id)``. Both are sorted
 runs, so a reader memory-maps a file and slices any hash range ``[lo, hi)``
 of it with a binary search (:func:`_key_run`, :func:`_partials_run`).
-Phase 2 (:func:`keyspace_from_states`) works from those sidecars. Its only
+A partition with several segments has one pair per segment. Phase 2
+(:func:`keyspace_from_states`) works from those sidecars. Its only
 size rule is the hash-range count, at most :data:`_KEYS_PER_RANGE` keys per
 range (at most 64 ranges), and that count decides where all of phase 2 runs:
 one range runs wholly on the driver, in-process, with no Ray task and no
@@ -36,14 +38,16 @@ crossover, task start-up costs more than a driver pass).
    a gap candidate unless ``min == 0 and max == n_distinct - 1``, and an
    orphan when the index lacks it (:func:`_gap_orphan_candidates`; the merge,
    :func:`merge_conv_partials`, is the engine's only partials merge).
-   Duplicate keys across partitions can overcount ``n_distinct`` → false
-   *candidates*, never false violations (step 2 verifies). Each range reads
-   only its own slice of every file.
+   Duplicate keys across partitions or segments can overcount
+   ``n_distinct`` → false *candidates*, never false violations (step 2
+   verifies). Each range reads only its own slice of every file.
 2. Verification is file by file (:func:`_verify_partition`, called in-process
    for one range and as one task per partition for more): a partition's key
-   run is binary-searched for the dup candidates and its partials looked up
-   for the candidate conversations, and only on a hit is the data file's
-   ``(conv_id, turn_idx)`` read. A clean corpus reads no data file. Exact dup
+   runs are binary-searched for the dup candidates and its partials looked
+   up for the candidate conversations, and only on a hit is the data file's
+   ``(conv_id, turn_idx)`` read, once for all its segments, so a key that
+   repeats between segments counts once per row. A clean corpus reads no
+   data file. Exact dup
    counts and first-missing indices are computed driver-side from the picked
    rows — the anomaly set, orders of magnitude smaller than the data.
 
@@ -101,23 +105,20 @@ def prep_state(tbl: pa.Table) -> dict:
     """Key-space state of a ``(conv_id, turn_idx)`` table: the key hashes
     (unsorted) and per-conv partial sequence stats (one Arrow hash aggregate
     over the keyed rows: null and empty ids dropped, a null turn as the
-    ``-1`` sentinel). The validator builds it from the whole partition on
-    every scan, full or delta; :func:`write_sidecars` writes it as the
-    partition's two sidecar files, from which phase 2 works."""
+    ``-1`` sentinel). The validator builds it from the rows of the segment
+    it writes; :func:`write_sidecars` writes it as the segment's two sidecar
+    files, from which phase 2 works."""
     conv = tbl["conv_id"].cast(pa.string())
     keyed = pa.table(
         {"conv_id": conv, "turn_idx": pc.fill_null(tbl["turn_idx"].cast(pa.int64()), -1)}
     ).filter(pc.fill_null(pc.not_equal(conv, ""), False))
-    c = keyed.group_by("conv_id").aggregate(
-        [("turn_idx", "count_distinct"), ("turn_idx", "min"), ("turn_idx", "max"), ("turn_idx", "count")]
-    )
+    c = keyed.group_by("conv_id").aggregate([("turn_idx", "count_distinct"), ("turn_idx", "min"), ("turn_idx", "max")])
     conv_stats = pa.table(
         {
             "conv_id": c["conv_id"],
             "n_distinct": c["turn_idx_count_distinct"],
             "min_t": c["turn_idx_min"],
             "max_t": c["turn_idx_max"],
-            "n_rows": c["turn_idx_count"],
         }
     )
     return {"keys": hash_key(keyed["conv_id"], keyed["turn_idx"]), "conv": conv_stats}
@@ -130,7 +131,6 @@ PARTIALS_SCHEMA = pa.schema(
         ("n_distinct", pa.int64()),
         ("min_t", pa.int64()),
         ("max_t", pa.int64()),
-        ("n_rows", pa.int64()),
     ]
 )
 
@@ -149,10 +149,10 @@ def merge_conv_partials(tables: list) -> pa.Table:
     """Merge partials tables exactly by ``conv_id`` into per-conv summaries
     (one Arrow hash aggregate: ``n_distinct_sum``, ``min_t_min``,
     ``max_t_max``). n_distinct sums can overcount when a duplicated key
-    spans partitions — overcounts either create false gap CANDIDATES
-    (verified exactly, cost: a lookup) or can mask a real gap (nd_sum
-    coincidentally equals max+1), which is why keyspace_from_states ALSO
-    exact-checks every verified-dup conversation."""
+    spans partitions or segments — overcounts either create false gap
+    CANDIDATES (verified exactly, cost: a lookup) or can mask a real gap
+    (nd_sum coincidentally equals max+1), which is why keyspace_from_states
+    ALSO exact-checks every verified-dup conversation."""
     tbl = pa.concat_tables([PARTIALS_SCHEMA.empty_table(), *tables])
     return tbl.group_by("conv_id").aggregate([("n_distinct", "sum"), ("min_t", "min"), ("max_t", "max")])
 
@@ -178,8 +178,10 @@ def _key_run(path: str, lo: int = 0, hi: int | None = None) -> np.ndarray:
 
 def _partials_run(path: str, lo: int = 0, hi: int | None = None) -> pa.Table:
     """Conversations with ``h`` in ``[lo, hi)`` of a partials sidecar,
-    memory-mapped (the IPC file is uncompressed, so the table is zero-copy)."""
-    tbl = pa.ipc.open_file(pa.memory_map(path)).read_all()
+    memory-mapped (the IPC file is uncompressed, so the table is zero-copy).
+    Only :data:`PARTIALS_SCHEMA`'s columns are taken, so an earlier
+    release's sidecar, which also has ``n_rows``, merges beside a new one."""
+    tbl = pa.ipc.open_file(pa.memory_map(path)).read_all().select(PARTIALS_SCHEMA.names)
     s = _span(tbl["h"].to_numpy(), lo, hi)
     return tbl.slice(s.start, s.stop - s.start)
 
@@ -190,20 +192,21 @@ def _atomic_write(path: str, write) -> None:
     os.replace(tmp, path)
 
 
-def write_sidecars(state: dict, sidecar_dir: str, pid: str) -> tuple:
-    """Write partition ``pid``'s key state (:func:`prep_state`, built from
-    the whole partition) as its two sidecars: the sorted key run and the
-    partials sorted by ``h``. Returns ``(key run path, partials path, digest
-    of the sorted keys)``.
+def write_sidecars(state: dict, sidecar_dir: str, name: str) -> tuple:
+    """Write a segment's key state (:func:`prep_state`, built from the
+    segment's rows) as its two sidecars: the sorted key run and the partials
+    sorted by ``h``. ``name`` is the segment's file stem (the partition id,
+    or ``{pid}+{start}`` for a later segment). Returns ``(key run path,
+    partials path, digest of the sorted keys)``.
 
-    The files are content-addressed: a delta revalidation writes NEW files,
+    The files are content-addressed: a fold or full rescan writes NEW files,
     so the prior record's sidecars stay intact until the new record is
     durable (the driver prunes superseded ones only after the record write,
     :func:`prune_sidecars`) — a crash anywhere leaves a consistent (record,
     sidecars) pair to resume from."""
     keys = np.sort(state["keys"])
     digest = hashlib.sha256(keys.tobytes()).hexdigest()
-    stem = os.path.join(sidecar_dir, f"{pid}-{digest[:12]}")
+    stem = os.path.join(sidecar_dir, f"{name}-{digest[:12]}")
     os.makedirs(sidecar_dir, exist_ok=True)
     _atomic_write(stem + ".bin", keys.tofile)
     partials = conv_partials_table(state["conv"])
@@ -216,18 +219,20 @@ def write_sidecars(state: dict, sidecar_dir: str, pid: str) -> tuple:
     return stem + ".bin", stem + "-conv.arrow", digest
 
 
-def prune_sidecars(sidecar_dir: str, pid: str, keep: set) -> None:
-    """Delete partition ``pid``'s sidecars other than ``keep``, including
-    earlier formats' (``-conv.parquet``) — call once the record naming
-    ``keep`` is durable."""
-    stem = os.path.join(sidecar_dir, pid + "-" + "[0-9a-f]" * 12)
-    for suffix in (".bin", "-conv.arrow", "-conv.parquet"):
-        for stale in glob.glob(stem + suffix):
-            if stale not in keep:
-                try:
-                    os.unlink(stale)
-                except OSError:
-                    pass
+def prune_sidecars(sidecar_dir: str, stems: tuple, keep: set) -> None:
+    """Delete the sidecars other than ``keep`` whose name stems match one of
+    the glob patterns ``stems`` (a partition's segments), including earlier
+    formats' (``-conv.parquet``) — call once the record naming ``keep`` is
+    durable."""
+    digest = "-" + "[0-9a-f]" * 12
+    for stem in stems:
+        for suffix in (".bin", "-conv.arrow", "-conv.parquet"):
+            for stale in glob.glob(os.path.join(sidecar_dir, stem + digest + suffix)):
+                if stale not in keep:
+                    try:
+                        os.unlink(stale)
+                    except OSError:
+                        pass
 
 
 def _exact_gaps(df: pd.DataFrame) -> pd.DataFrame:
@@ -266,14 +271,15 @@ def _verify_partition(part: tuple, dup_hashes: np.ndarray, convs: np.ndarray, co
     ``dup_hashes`` or whose conversation is in ``convs`` (all three sorted;
     ``conv_hashes`` is ``hash_strings(convs)``).
 
-    ``part`` is the partition's ``(data file, key run, partials)``. The
-    sidecars decide whether any row can match — binary searches of the
-    memmapped key run and of the candidate hashes for the partials' ``h`` —
-    and the data file's key columns are read only when one can."""
-    data_path, key_path, partials_path = part
-    hit = len(dup_hashes) > 0 and bool(_member_mask(_key_run(key_path), dup_hashes).any())
+    ``part`` is the partition's ``(data file, [key runs], [partials])``, one
+    sidecar pair per segment. The sidecars decide whether any row can match
+    — binary searches of the memmapped key runs and of the candidate hashes
+    for the partials' ``h`` — and the data file's key columns are read, once,
+    only when one can."""
+    data_path, key_paths, partials_paths = part
+    hit = len(dup_hashes) > 0 and any(_member_mask(_key_run(k), dup_hashes).any() for k in key_paths)
     if not hit and len(convs):
-        hit = bool(_member_mask(conv_hashes, _partials_run(partials_path)["h"].to_numpy()).any())
+        hit = any(_member_mask(conv_hashes, _partials_run(p)["h"].to_numpy()).any() for p in partials_paths)
     if not hit:
         return _PICK_SCHEMA.empty_table()
     tbl = pq.read_table(data_path, columns=["conv_id", "turn_idx"])
@@ -309,7 +315,7 @@ def _scan_convs(
 
 def find_dup_hashes(key_runs: list, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """Distinct key hashes in ``[lo, hi)`` occurring more than once across
-    the sorted key-run sidecars (one per partition). Only that range of each
+    the sorted key-run sidecars (one per segment). Only that range of each
     file is read, so no run ever transits the driver whole (the 10^12-key
     shape)."""
     merged = np.sort(np.concatenate([_NO_HASHES, *(_key_run(p, lo, hi) for p in key_runs)]))
@@ -333,9 +339,9 @@ def _gap_orphan_candidates(partials: list, lo: int, hi: int | None, member) -> t
 
 def _range_candidates(parts: list, lo: int, hi: int | None, member) -> tuple:
     """One hash range's candidates — (dup key hashes, gap conversations,
-    orphan conversations) — from the partitions' sidecars."""
-    dups = find_dup_hashes([k for _, k, _ in parts], lo, hi)
-    return (dups, *_gap_orphan_candidates([p for _, _, p in parts], lo, hi, member))
+    orphan conversations) — from the sidecars of every segment."""
+    dups = find_dup_hashes([k for _, ks, _ in parts for k in ks], lo, hi)
+    return (dups, *_gap_orphan_candidates([p for _, _, ps in parts for p in ps], lo, hi, member))
 
 
 _range_task = ray.remote(_range_candidates)
@@ -416,16 +422,16 @@ def _membership_checker(known_conv_ids):
 
 
 def keyspace_from_states(parts: list, known_conv_ids) -> pa.Table:
-    """Key-space checks from phase 1's per-partition state. ``parts`` holds
-    one ``(data file, key run, partials)`` path triple per partition, the
-    sidecars as :func:`write_sidecars` wrote them; ``known_conv_ids`` is the
-    conversations index (its Arrow ``conv_id`` column, any sequence of ids,
-    or a Bloom filter over them). Candidates come hash range by hash range
+    """Key-space checks from phase 1's per-segment state. ``parts`` holds
+    one ``(data file, [key runs], [partials])`` entry per partition, the
+    sidecars of its segments as :func:`write_sidecars` wrote them;
+    ``known_conv_ids`` is the conversations index (its Arrow ``conv_id``
+    column, any sequence of ids, or a Bloom filter over them). Candidates come hash range by hash range
     (:func:`_range_candidates`), and only partitions whose sidecars hold a
     candidate have their key columns read — all in this process for one
     range, all as Ray tasks for more."""
     member = _membership_checker(known_conv_ids)
-    n_keys = sum(os.path.getsize(k) for _, k, _ in parts) // 8
+    n_keys = sum(os.path.getsize(k) for _, ks, _ in parts for k in ks) // 8
     ranges = _hash_ranges(max(1, min(64, -(-n_keys // _KEYS_PER_RANGE))))
     # one range: all of phase 2 runs in this process; more: all of it runs as
     # Ray tasks (the candidate step per range, verification per partition)

@@ -30,14 +30,15 @@ def ray_session():
 
 def write_keyspace_sidecars(files: list, out_dir: str) -> list:
     """Key-space sidecars of parquet ``files``, written with the calls
-    ``PartitionValidator._one`` makes; returns the ``parts`` that
-    ``keyspace_from_states`` takes."""
+    ``PartitionValidator._one`` makes for a one-segment partition; returns
+    the ``parts`` that ``keyspace_from_states`` takes."""
     from teleharvest_ray.stages.keyspace import prep_state, write_sidecars
 
     parts = []
     for i, f in enumerate(files):
         st = prep_state(pq.read_table(f, columns=["conv_id", "turn_idx"]))
-        parts.append((f, *write_sidecars(st, out_dir, f"p{i}")[:2]))
+        key_run, partials, _ = write_sidecars(st, out_dir, f"p{i}")
+        parts.append((f, [key_run], [partials]))
     return parts
 
 
@@ -54,6 +55,46 @@ def session_cpus_free(timeout_s: float = 10.0) -> bool:
             return False
         time.sleep(0.1)
     return True
+
+
+#: the tests after which the Ray session's CPUs stayed held, for the summary
+_HELD_AFTER = pytest.StashKey[list]()
+
+
+@pytest.fixture(autouse=True)
+def _name_tests_that_hold_session_cpus(request):
+    """After each test that used the Ray session, collect garbage and wait
+    up to 10 s until the session has the free CPUs it had before the test; a
+    test after which it did not is named in the terminal summary. It never
+    fails the test, and a later test waits only for the CPUs free at its own
+    start, so one leak names one test."""
+    if "ray_session" not in request.fixturenames:
+        yield
+        return
+    import gc
+    import time
+
+    import ray
+
+    request.getfixturevalue("ray_session")
+    free_before = ray.available_resources().get("CPU", 0)
+    yield
+    if not ray.is_initialized():
+        return
+    gc.collect()
+    deadline = time.monotonic() + 10.0
+    while (free := ray.available_resources().get("CPU", 0)) < free_before and time.monotonic() < deadline:
+        time.sleep(0.1)
+    if free < free_before:
+        request.config.stash.setdefault(_HELD_AFTER, []).append(f"{request.node.nodeid}: {free_before - free:g} CPUs")
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    held = config.stash.get(_HELD_AFTER, [])
+    if held:
+        terminalreporter.section("Ray session CPUs still held after")
+        for line in held:
+            terminalreporter.line(line)
 
 
 class _TaskSpy:

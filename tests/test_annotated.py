@@ -10,6 +10,7 @@ import shutil
 import sys
 import types
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pyarrow as pa
@@ -19,6 +20,7 @@ import pytest
 import ray
 
 from teleharvest_ray.config import ValidationConfig
+from teleharvest_ray.pipelines import validate
 from teleharvest_ray.pipelines.validate import (
     PartitionValidator,
     _annotated_columns,
@@ -160,10 +162,13 @@ def test_non_builtin_alt_is_stored(ray_session, corpus, tmp_path, monkeypatch):
         scoring.get_scorer.cache_clear()
 
 
-def test_wide_file_narrows_on_its_next_delta(ray_session, corpus, tmp_path):
+def test_wide_first_segment_narrows_on_its_fold(ray_session, corpus, tmp_path):
     """An annotated file in the earlier wide layout (input, text_norm and alt
-    stored), then growth and a resume: the file is narrow, its prefix rows
-    are unchanged, and the violations equal a from-scratch run's."""
+    stored), then two growths. The delta leaves the wide first segment as it
+    is and writes a narrow one, and ``read_annotated`` reads both. The fold
+    (``_MAX_SEGMENTS = 1``) rewrites the partition as one narrow file whose
+    prefix rows are unchanged, and the violations equal a from-scratch
+    run's."""
     cfg = ValidationConfig()
     d = _copy(corpus, str(tmp_path / "data"))
     grown = os.path.join(d, f"{GROWN}.parquet")
@@ -175,9 +180,19 @@ def test_wide_file_narrows_on_its_next_delta(ray_session, corpus, tmp_path):
     pq.write_table(wide, ann_path)
     assert read_annotated(out, GROWN).equals(wide)
 
+    k2 = int(full.num_rows * 0.75)
+    pq.write_table(full.slice(0, k2), grown)
+    assert run_validation(d, out, cfg)["n_validated_now"] == 1
+    assert pq.read_table(ann_path).equals(wide)
+    delta = pq.read_table(os.path.join(out, "annotated", f"{GROWN}+{k}.parquet"))
+    assert delta.column_names == _annotated_columns(cfg) and delta.num_rows == k2 - k
+    assert read_annotated(out, GROWN).equals(pa.concat_tables([wide, _chain(d, GROWN, cfg, k, k2)]))
+
     pq.write_table(full, grown)
-    s = run_validation(d, out, cfg)
+    with mock.patch.object(validate, "_MAX_SEGMENTS", 1):
+        s = run_validation(d, out, cfg)
     assert s["n_validated_now"] == 1
+    assert not glob.glob(os.path.join(out, "annotated", f"{GROWN}+*"))
     narrow = pq.read_table(ann_path)
     assert narrow.column_names == _annotated_columns(cfg)
     assert narrow.num_rows == full.num_rows
@@ -211,7 +226,8 @@ def test_delta_rescan_after_a_kill_keeps_one_row_per_input_row(ray_session, corp
         shutil.copytree(os.path.join(before, sub), os.path.join(out, sub))
     s = run_validation(d, out, cfg)
     assert s["n_validated_now"] == 1
-    assert pq.read_table(os.path.join(out, "annotated", f"{pid}.parquet")).num_rows == full.num_rows
+    segs = [os.path.join(out, "annotated", f"{name}.parquet") for name in (pid, f"{pid}+{k}")]
+    assert [pq.ParquetFile(f).metadata.num_rows for f in segs] == [k, full.num_rows - k]
     want = pa.concat_tables([_chain(d, pid, cfg, 0, k), _chain(d, pid, cfg, k)])
     assert read_annotated(out, pid).equals(want)
     assert _vio_rows(out) == unkilled

@@ -327,7 +327,7 @@ def test_phase2_reads_only_candidate_partitions(ray_session, keyspace_sidecars, 
     dup_hashes, gap_convs, _ = _range_candidates(parts, 0, None, _membership_checker(idx))
     free = [
         f
-        for f, k, p in parts
+        for f, (k,), (p,) in parts
         if not np.isin(dup_hashes, np.fromfile(k, dtype=np.uint64)).any()
         and not _partials_run(p)["conv_id"].to_pandas().isin(gap_convs).any()
     ]
@@ -400,3 +400,39 @@ def test_arrow_key_state_matches_pandas_reference():
         partials = conv_partials_table(state["conv"])
         assert partials.equals(want_partials), name
         assert _ipc_bytes(partials) == _ipc_bytes(want_partials), name
+
+
+def test_partials_of_an_earlier_release_merge_beside_new_ones(tmp_path):
+    """A partials sidecar as an earlier release wrote it, with an ``n_rows``
+    column, and one in today's format merge into the same candidates as two
+    of today's."""
+    import numpy as np
+
+    from teleharvest_ray.stages.keyspace import (
+        PARTIALS_SCHEMA,
+        _gap_orphan_candidates,
+        _membership_checker,
+        _partials_run,
+        write_sidecars,
+    )
+
+    conv = [
+        pa.table({"conv_id": ["a", "b", "c"], "n_distinct": [2, 3, 1], "min_t": [0, 0, 1], "max_t": [1, 2, 1]}),
+        pa.table({"conv_id": ["a", "d"], "n_distinct": [1, 2], "min_t": [3, 0], "max_t": [3, 1]}),
+    ]
+    paths = [
+        write_sidecars({"keys": np.empty(0, np.uint64), "conv": c}, str(tmp_path), f"p{i}")[1]
+        for i, c in enumerate(conv)
+    ]
+    member = _membership_checker(["a", "b", "c"])
+    want = _gap_orphan_candidates(paths, 0, None, member)
+    assert sorted(want[0]) == ["a", "c"] and list(want[1]) == ["d"]
+    old = _partials_run(paths[0])
+    assert old.schema.equals(PARTIALS_SCHEMA)
+    old = old.append_column("n_rows", old["n_distinct"])
+    old_path = str(tmp_path / "p0-earlier-conv.arrow")
+    with pa.ipc.new_file(old_path, old.schema) as w:
+        w.write_table(old)
+    got = _gap_orphan_candidates([old_path, paths[1]], 0, None, member)
+    assert sorted(got[0]) == sorted(want[0]) and list(got[1]) == list(want[1])
+

@@ -265,3 +265,111 @@ def test_cli_query_list_and_run():
         capture_output=True, text=True, cwd="/root/repo",
     )
     assert r3.returncode == 2
+
+
+def test_refresh_metrics_keeps_a_null_turns_row(ray_session, tmp_path):
+    """A row whose ``turn_idx`` and views are null has the metrics_missing
+    row ``chain_violations`` writes for it, at turn -1, and a metrics
+    refresh keeps it: the null turn is the -1 of that row, inside the
+    window like the row it replaces."""
+    from collections import Counter
+
+    from teleharvest_ray.pipelines.refresh import MetricsRefresher
+
+    d, out = str(tmp_path / "data"), str(tmp_path / "out")
+    os.makedirs(d)
+    generate(str(tmp_path / "src"), GenSpec(n_convs=8, n_files=2, seed=53, plant=False))
+    row = pq.read_table(str(tmp_path / "src" / "part-00000.parquet")).slice(0, 1).to_pylist()[0]
+    rows = [dict(row, conv_id="c1", turn_idx=t) for t in (0, 1, None)]
+    rows[2].update(views=None)
+    schema = pq.read_schema(str(tmp_path / "src" / "part-00000.parquet"))
+    pq.write_table(pa.Table.from_pylist(rows, schema=schema), os.path.join(d, "part-00000.parquet"))
+    run_validation(d, out, ValidationConfig())
+
+    def rows_of(check):
+        t = pq.read_table(os.path.join(out, "violations", "part-00000.parquet"))
+        return Counter((r["conv_id"], r["turn_idx"]) for r in t.to_pylist() if r["check_id"] == check)
+
+    assert rows_of("metrics_missing") == Counter({("c1", -1): 1})
+    res = MetricsRefresher(ValidationConfig(), d, out, 1000)._one("part-00000")
+    assert res["metrics_violations"] == 1
+    assert rows_of("metrics_missing") == Counter({("c1", -1): 1})
+
+
+def test_refreshes_over_segments_equal_refreshes_over_a_fold(ray_session, tmp_path):
+    """A partition grown twice, resumed with segments and with every delta
+    folded (``_MAX_SEGMENTS = 1``): ``refresh_similarity`` against a new
+    profile gives the same annotated tables, and ``refresh_metrics`` after
+    late metrics arrive, in the prefix and in the deltas, gives the same
+    violation rows."""
+    from collections import Counter
+    from unittest import mock
+
+    from teleharvest_ray.pipelines import validate
+    from teleharvest_ray.pipelines.validate import read_annotated
+
+    d = str(tmp_path / "data")
+    generate(d, GenSpec(n_convs=60, n_files=2, seed=57))
+    p = os.path.join(d, "part-00001.parquet")
+    full = pq.read_table(p)
+    cuts = [full.num_rows // 2, full.num_rows * 3 // 4, full.num_rows]
+    pq.write_table(full.slice(0, cuts[0]), p)
+    outs = {n: str(tmp_path / f"out{n}") for n in (validate._MAX_SEGMENTS, 1)}
+    for cut in cuts:
+        pq.write_table(full.slice(0, cut), p)
+        for n, out in outs.items():
+            with mock.patch.object(validate, "_MAX_SEGMENTS", n):
+                run_validation(d, out, ValidationConfig())
+    assert len(glob.glob(os.path.join(outs[validate._MAX_SEGMENTS], "annotated", "part-00001*"))) == 3
+
+    prof = build_profile(pq.read_table(os.path.join(d, "part-00001.parquet"), columns=["text", "role", "tool"]))
+    for out in outs.values():
+        assert refresh_similarity(out, prof)["rows_refreshed"] > 0
+    for pid in ("part-00000", "part-00001"):
+        seg, fold = (read_annotated(out, pid) for out in outs.values())
+        assert seg.equals(fold)
+
+    # late data: a row in the prefix and one in each delta lose their
+    # reactions
+    late = full.to_pandas()
+    for i in (cuts[0] - 3, cuts[0] + 3, cuts[1] + 3):
+        late.loc[i, "reactions"] = pd.NA
+    pq.write_table(pa.Table.from_pandas(late, preserve_index=False).cast(full.schema), p)
+
+    def rows(out):
+        files = sorted(glob.glob(os.path.join(out, "violations", "*.parquet")))
+        return Counter(tuple(r.values()) for f in files for r in pq.read_table(f).to_pylist())
+
+    before = rows(outs[1])
+    for out in outs.values():
+        refresh_metrics(d, out, ValidationConfig(), window=10_000)
+    assert rows(outs[validate._MAX_SEGMENTS]) == rows(outs[1]) != before
+
+
+def test_refresh_metrics_before_a_growing_resume(ray_session, tmp_path):
+    """A metrics refresh between a growth of the input and its resume
+    refreshes only the validated rows: the appended row that misses its
+    metrics is left to the resume's new segment, so every violation row,
+    counted with its multiplicity, equals a from-scratch run's."""
+    from collections import Counter
+
+    d = str(tmp_path / "data")
+    generate(d, GenSpec(n_convs=40, n_files=2, seed=54))
+    out = str(tmp_path / "out")
+    run_validation(d, out, ValidationConfig())
+    # not the first file, which the reference profile is built from
+    p = os.path.join(d, "part-00001.parquet")
+    old = pq.read_table(p)
+    row = dict(old.slice(0, 1).to_pylist()[0], conv_id="conv-late-1", turn_idx=0, views=None, reactions=None)
+    pq.write_table(pa.concat_tables([old, pa.Table.from_pylist([row], schema=old.schema)]), p)
+    refresh_metrics(d, out, ValidationConfig())
+    assert run_validation(d, out, ValidationConfig())["n_validated_now"] == 1
+    ctl = str(tmp_path / "ctl")
+    run_validation(d, ctl, ValidationConfig())
+
+    def rows(o):
+        files = sorted(glob.glob(os.path.join(o, "violations", "*.parquet")))
+        return Counter(tuple(r.values()) for f in files for r in pq.read_table(f).to_pylist())
+
+    assert rows(out)[("conv-late-1", 0, "metrics_missing", None)] == 1
+    assert rows(out) == rows(ctl)

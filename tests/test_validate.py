@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import glob
 import os
+from collections import Counter
+from unittest import mock
 
 import pandas as pd
 import pyarrow.parquet as pq
 import pytest
 
 from teleharvest_ray.config import ValidationConfig
-from teleharvest_ray.pipelines.validate import read_violations, run_validation
+from teleharvest_ray.pipelines import validate
+from teleharvest_ray.pipelines.validate import read_annotated, read_violations, run_validation
 from teleharvest_ray.sources.datagen import GenSpec, generate
 
 
@@ -22,6 +26,52 @@ def dataset(tmp_path_factory):
 
 def _vio_set(df: pd.DataFrame) -> set:
     return set(map(tuple, df[["conv_id", "turn_idx", "check_id"]].drop_duplicates().itertuples(index=False)))
+
+
+def _segment_starts(out: str, pid: str) -> list:
+    from teleharvest_ray.state.checkpoint import CheckpointStore
+
+    return [seg["start"] for seg in CheckpointStore(os.path.join(out, "checkpoints")).read(pid)["segments"]]
+
+
+def _vio_rows(out: str) -> Counter:
+    """Every violation row of a run, with its multiplicity."""
+    files = sorted(glob.glob(os.path.join(out, "violations", "*.parquet")))
+    return Counter(tuple(r.values()) for f in files for r in pq.read_table(f).to_pylist())
+
+
+def _global_rows(out: str) -> list:
+    return [tuple(r.values()) for r in pq.read_table(os.path.join(out, "violations", "_global.parquet")).to_pylist()]
+
+
+def _stats(paths) -> dict:
+    """``path -> (inode, mtime_ns)``: a file rewritten or replaced gets a new
+    pair."""
+    return {f: (os.stat(f).st_ino, os.stat(f).st_mtime_ns) for f in paths}
+
+
+def _first_segment_files(out: str, pid: str) -> list:
+    """The annotated, violation and sidecar files of a partition's first
+    segment."""
+    ks = sorted(glob.glob(os.path.join(out, "keyspace", pid + "-*")))
+    assert len(ks) == 2, ks
+    return [os.path.join(out, kind, f"{pid}.parquet") for kind in ("annotated", "violations")] + ks
+
+
+def _cut(path: str, fracs) -> tuple:
+    """Cut a partition back to a conversation boundary near ``fracs[0]`` of
+    its rows; returns the full table and the boundaries near every fraction,
+    so each later growth appends whole conversations."""
+    full = pq.read_table(path)
+    conv = full["conv_id"].to_pylist()
+    cuts = []
+    for frac in fracs:
+        k = int(full.num_rows * frac)
+        while conv[k] == conv[k - 1]:
+            k += 1
+        cuts.append(k)
+    pq.write_table(full.slice(0, cuts[0]), path)
+    return full, cuts
 
 
 def test_full_run_matches_manifest(ray_session, dataset, tmp_path):
@@ -134,16 +184,12 @@ def test_incremental_append_revalidates_only_delta(ray_session, tmp_path):
     assert len(blobs) == 1
 
 
-def test_delta_repeating_a_prefix_key_rebuilds_sidecars_whole(ray_session, tmp_path):
-    """A delta whose rows repeat prefix keys writes the key run and partials
-    a from-scratch run over the grown file writes, byte for byte — the
-    partials' n_distinct counts each key once, not once per scan — and the
-    same violations."""
-    import filecmp
-
+def test_delta_repeating_a_prefix_key_gives_one_dup_row(ray_session, tmp_path):
+    """A delta whose rows repeat prefix keys of the same partition is written
+    as its own segment; each repeated key gives one dup_key row with
+    ``count=2`` (the data file is read once for all its segments), and the
+    violations and ``_global`` rows equal a from-scratch run's."""
     import pyarrow as pa
-
-    from teleharvest_ray.state.checkpoint import CheckpointStore
 
     d = str(tmp_path / "rep")
     generate(d, GenSpec(n_convs=40, n_files=2, seed=41))
@@ -156,16 +202,9 @@ def test_delta_repeating_a_prefix_key_rebuilds_sidecars_whole(ray_session, tmp_p
     assert s["n_validated_now"] == 1 and s["rows_scanned"] == sum(
         pq.ParquetFile(os.path.join(d, f"part-0000{i}.parquet")).metadata.num_rows for i in (0, 1)
     )
+    assert _segment_starts(out, "part-00001") == [0, old.num_rows]
     ctl = str(tmp_path / "rep_ctl")
     run_validation(d, ctl, ValidationConfig())
-
-    def sidecars(root):
-        rec = CheckpointStore(os.path.join(root, "checkpoints")).read("part-00001")
-        return os.path.join(root, rec["keyspace_blob"]), os.path.join(root, rec["keyspace_partials"])
-
-    for got, want in zip(sidecars(out), sidecars(ctl)):
-        assert os.path.basename(got) == os.path.basename(want)
-        assert filecmp.cmp(got, want, shallow=False), got
     assert _vio_set(read_violations(out)) == _vio_set(read_violations(ctl))
 
     def global_rows(root):
@@ -173,6 +212,197 @@ def test_delta_repeating_a_prefix_key_rebuilds_sidecars_whole(ray_session, tmp_p
         return t.sort_by([(c, "ascending") for c in ("check_id", "conv_id", "turn_idx")])
 
     assert global_rows(out).equals(global_rows(ctl))
+    repeated = {(r["conv_id"], r["turn_idx"]) for r in old.slice(0, 3).select(["conv_id", "turn_idx"]).to_pylist()}
+    dups = Counter(
+        (r["conv_id"], r["turn_idx"], r["detail"])
+        for r in global_rows(out).to_pylist()
+        if r["check_id"] == "dup_key" and (r["conv_id"], r["turn_idx"]) in repeated
+    )
+    assert dups == Counter((c, t, "count=2") for c, t in repeated)
+
+
+def test_delta_appends_a_segment_and_leaves_the_first_untouched(ray_session, tmp_path):
+    """A grown partition gets one new segment, written from its new rows
+    only: every file of its first segment, and of the partitions that did
+    not grow, keeps its inode and modification time."""
+    d = str(tmp_path / "data")
+    generate(d, GenSpec(n_convs=60, n_files=3, seed=7))
+    pid = "part-00000"  # not the drifted partition: its drift row never changes
+    full, (k,) = _cut(os.path.join(d, f"{pid}.parquet"), [0.6])
+    out = str(tmp_path / "out")
+    run_validation(d, out, ValidationConfig())
+    kept = _stats(
+        _first_segment_files(out, pid)
+        + [f for f in glob.glob(os.path.join(out, "*", "part-0000[12]*")) if "checkpoints" not in f]
+    )
+    pq.write_table(full, os.path.join(d, f"{pid}.parquet"))
+    s = run_validation(d, out, ValidationConfig())
+    assert s["n_validated_now"] == 1 and s["n_resumed"] == 2
+    assert _stats(kept) == kept
+    assert _segment_starts(out, pid) == [0, k]
+    seg = [os.path.join(out, kind, f"{pid}+{k}.parquet") for kind in ("annotated", "violations")]
+    assert pq.ParquetFile(seg[0]).metadata.num_rows == full.num_rows - k
+    assert len(glob.glob(os.path.join(out, "keyspace", f"{pid}+{k}-*"))) == 2
+    assert s["rows_scanned"] == sum(pq.ParquetFile(f).metadata.num_rows for f in glob.glob(d + "/part-*.parquet"))
+    ctl = str(tmp_path / "ctl")
+    fresh = run_validation(d, ctl, ValidationConfig())
+    assert _vio_set(read_violations(out)) == _vio_set(read_violations(ctl))
+    assert s["violations_partition_local"] == sum(_vio_rows(out).values()) - s["violations_global"]
+    assert s["violations_global"] == fresh["violations_global"]
+
+
+def _run_with(max_segments: int, data: str, out: str) -> dict:
+    with mock.patch.object(validate, "_MAX_SEGMENTS", max_segments):
+        return run_validation(data, out, ValidationConfig())
+
+
+def _outputs(out: str, pids) -> tuple:
+    """What a reader sees of a run: every violation row with its
+    multiplicity, the sorted ``_global`` rows, and each partition's
+    ``read_annotated``."""
+    g = pq.read_table(os.path.join(out, "violations", "_global.parquet"))
+    g = g.sort_by([(c, "ascending") for c in ("check_id", "conv_id", "turn_idx")])
+    return _vio_rows(out), g, [read_annotated(out, p) for p in pids]
+
+
+def _same_outputs(a: tuple, b: tuple) -> None:
+    assert a[0] == b[0]
+    assert a[1].equals(b[1])
+    assert all(x.equals(y) for x, y in zip(a[2], b[2]))
+
+
+def test_segments_equal_a_forced_fold_and_fold_past_the_cap(ray_session, tmp_path):
+    """The same three growths of a clean and of the drifted partition,
+    resumed three ways: with segments, with every delta folded
+    (``_MAX_SEGMENTS = 1``), and with a cap of 2, where the delta that would
+    make a third segment folds the partition to one. After every growth the
+    three give the same violation rows, ``_global`` rows and annotated
+    tables; the fold deletes the replaced segments."""
+    d = str(tmp_path / "data")
+    generate(d, GenSpec(n_convs=90, n_files=3, seed=13, hot_conv=True))
+    pids = ["part-00000", "part-00001", "part-00002"]
+    grown = {p: _cut(os.path.join(d, f"{p}.parquet"), [0.4, 0.6, 0.8]) for p in ("part-00001", "part-00002")}
+    outs = {n: str(tmp_path / f"out{n}") for n in (validate._MAX_SEGMENTS, 1, 2)}
+    for n, out in outs.items():
+        _run_with(n, d, out)
+    drift_before = _vio_rows(outs[1])
+    for step, cut in enumerate([1, 2, None]):
+        for p, (full, cuts) in grown.items():
+            pq.write_table(full.slice(0, cuts[cut] if cut else full.num_rows), os.path.join(d, f"{p}.parquet"))
+        for n, out in outs.items():
+            assert _run_with(n, d, out)["n_validated_now"] == 2
+        want = _outputs(outs[1], pids)
+        for n, out in outs.items():
+            _same_outputs(_outputs(out, pids), want)
+        n_segs = {n: len(_segment_starts(out, "part-00001")) for n, out in outs.items()}
+        assert n_segs == {validate._MAX_SEGMENTS: step + 2, 1: 1, 2: [2, 1, 2][step]}
+        for n, out in outs.items():
+            later = glob.glob(os.path.join(out, "*", "part-00001+*"))
+            assert len(later) == 4 * (n_segs[n] - 1), later
+    # the drifted partition's drift row changed with its growth (the first
+    # segment's violation file was rewritten) and matches the fold's
+    drift = lambda rows: {r for r in rows if r[2] == "drift"}
+    assert drift(_vio_rows(outs[validate._MAX_SEGMENTS])) == drift(want[0]) != drift(drift_before)
+    assert drift(want[0])
+
+
+def test_parent_format_output_resumes_in_place(ray_session, tmp_path):
+    """An output directory as the earlier release wrote it — records with
+    one sidecar pair and no segment list, partials sidecars with an
+    ``n_rows`` column — is a one-segment output: grown partitions resume in
+    place as deltas, and the first-segment files stay untouched."""
+    import pyarrow as pa
+
+    from teleharvest_ray.state.checkpoint import CheckpointStore
+
+    d = str(tmp_path / "data")
+    generate(d, GenSpec(n_convs=60, n_files=3, seed=17))
+    pids = ["part-00000", "part-00001"]
+    # cut where neither partition's drift row changes with its growth, so
+    # nothing of the first segment has a reason to change
+    full = {p: _cut(os.path.join(d, f"{p}.parquet"), [0.7])[0] for p in pids}
+    out = str(tmp_path / "out")
+    run_validation(d, out, ValidationConfig())
+    store = CheckpointStore(os.path.join(out, "checkpoints"))
+    for pid, rec in store.completed().items():
+        if pid.startswith("_"):
+            continue
+        (seg,) = rec.pop("segments")
+        rec.update(keyspace_blob=seg["blob"], keyspace_partials=seg["partials"], keyspace_digest=seg["digest"])
+        store.write(pid, rec)
+        path = os.path.join(out, seg["partials"])
+        partials = pa.ipc.open_file(path).read_all()
+        partials = partials.append_column("n_rows", partials["n_distinct"])
+        with pa.ipc.new_file(path, partials.schema) as w:
+            w.write_table(partials)
+    kept = _stats([f for p in pids for f in _first_segment_files(out, p)])
+    for p in pids:
+        pq.write_table(full[p], os.path.join(d, f"{p}.parquet"))
+    s = run_validation(d, out, ValidationConfig())
+    assert s["n_validated_now"] == 2 and s["n_resumed"] == 1
+    assert _stats(kept) == kept
+    for p in pids:
+        assert len(_segment_starts(out, p)) == 2
+    ctl = str(tmp_path / "ctl")
+    run_validation(d, ctl, ValidationConfig())
+    assert _vio_set(read_violations(out)) == _vio_set(read_violations(ctl))
+    for p in pids:
+        assert read_annotated(out, p).num_rows == full[p].num_rows
+
+
+def test_killed_fold_leaves_no_row_twice(ray_session, tmp_path):
+    """A fold killed after writing its segment but before its record: the
+    replaced segments are already gone, so the violation files hold each
+    row once, as a completed fold's do; ``read_annotated`` cannot read the
+    half-written partition, and the resume rescans it to a from-scratch
+    run's outputs."""
+    import ray
+
+    from teleharvest_ray.state.profile import build_profile
+
+    d = str(tmp_path / "data")
+    generate(d, GenSpec(n_convs=60, n_files=2, seed=19))
+    pid, path = "part-00001", os.path.join(d, "part-00001.parquet")
+    full, cuts = _cut(path, [0.5, 0.75])
+    out, folded = str(tmp_path / "out"), str(tmp_path / "folded")
+    for cut in cuts:
+        pq.write_table(full.slice(0, cut), path)
+        for n, o in ((validate._MAX_SEGMENTS, out), (2, folded)):
+            _run_with(n, d, o)
+    pq.write_table(full, path)
+    _run_with(2, d, folded)  # the delta that would make a third segment folds
+    assert _segment_starts(out, pid) == [0, cuts[0]] and _segment_starts(folded, pid) == [0]
+
+    # the same fold in `out`, run by hand and never recorded
+    cfg = ValidationConfig()
+    first = sorted(glob.glob(os.path.join(d, "part-*.parquet")))[0]
+    profile = build_profile(pq.read_table(first, columns=["text", "role", "tool"]), cfg)
+    validate.PartitionValidator(cfg, ray.put(profile), out)._one(path, pid, start_row=cuts[1], seg_start=0)
+    # its sidecars are content-addressed and go once a record no longer
+    # names them
+    assert not [f for kind in ("annotated", "violations") for f in glob.glob(os.path.join(out, kind, pid + "+*"))]
+
+    def local_rows(o):
+        return _vio_rows(o) - Counter(_global_rows(o))
+
+    assert local_rows(out) == local_rows(folded)
+    with pytest.raises(FileNotFoundError):
+        read_annotated(out, pid)
+    s = run_validation(d, out, cfg)
+    assert s["n_validated_now"] == 1 and _segment_starts(out, pid) == [0]
+    ctl = str(tmp_path / "ctl")
+    run_validation(d, ctl, cfg)
+    _same_outputs(_outputs(out, ["part-00000", pid]), _outputs(ctl, ["part-00000", pid]))
+
+
+def test_plus_in_an_input_name_is_refused(tmp_path):
+    """``+`` separates a partition from a later segment's start row in the
+    output names, so an input stem holding one is refused before any work."""
+    d = str(tmp_path / "data")
+    generate(d, GenSpec(n_convs=10, n_files=2, seed=3, plant=False))
+    os.rename(os.path.join(d, "part-00001.parquet"), os.path.join(d, "part-00000+2.parquet"))
+    with pytest.raises(ValueError, match=r"\+"):
+        run_validation(d, str(tmp_path / "out"), ValidationConfig())
 
 
 def test_capability_probe_disables_scoring(ray_session, tmp_path):
@@ -282,9 +512,10 @@ def test_moved_output_directory_resumes_in_place(ray_session, tmp_path):
 
     store = CheckpointStore(os.path.join(moved, "checkpoints"))
     rec = store.read("part-00000")
-    for k in ("keyspace_blob", "keyspace_partials"):
-        assert not os.path.isabs(rec[k])
-        rec[k] = os.path.abspath(os.path.join(moved, rec[k]))
+    for seg in rec["segments"]:
+        for k in ("blob", "partials"):
+            assert not os.path.isabs(seg[k])
+            seg[k] = os.path.abspath(os.path.join(moved, seg[k]))
     store.write("part-00000", rec)
     s = run_validation(d, moved, ValidationConfig())
     assert s["n_validated_now"] == 0 and s["n_resumed"] == 2
@@ -292,20 +523,27 @@ def test_moved_output_directory_resumes_in_place(ray_session, tmp_path):
 
 def test_replaced_partition_full_rescans(ray_session, tmp_path):
     """A file replaced by different content with the same row count is
-    revalidated in full: neither skipped nor read as a delta."""
+    revalidated in full: neither skipped nor read as a delta. The segment a
+    delta appended before the swap is deleted with its sidecars."""
     import pyarrow as pa
 
     d = str(tmp_path / "swap")
     generate(d, GenSpec(n_convs=40, n_files=2, seed=34))
+    p = os.path.join(d, "part-00000.parquet")
+    full, (k,) = _cut(p, [0.7])
     out = str(tmp_path / "swap_out")
     run_validation(d, out, ValidationConfig())
-    p = os.path.join(d, "part-00000.parquet")
-    old = pq.read_table(p)
-    df = old.to_pandas()
+    pq.write_table(full, p)
+    run_validation(d, out, ValidationConfig())
+    assert _segment_starts(out, "part-00000") == [0, k]
+    df = full.to_pandas()
     df.loc[1, ["conv_id", "turn_idx"]] = df.loc[0, ["conv_id", "turn_idx"]].to_numpy()  # a new dup key
-    pq.write_table(pa.Table.from_pandas(df, schema=old.schema, preserve_index=False), p)
+    pq.write_table(pa.Table.from_pandas(df, schema=full.schema, preserve_index=False), p)
     s = run_validation(d, out, ValidationConfig())
     assert s["n_validated_now"] == 1 and s["n_resumed"] == 1
+    assert _segment_starts(out, "part-00000") == [0]
+    assert not glob.glob(os.path.join(out, "*", "part-00000+*"))
+    assert len(glob.glob(os.path.join(out, "keyspace", "part-00000-*"))) == 2
     ctl = str(tmp_path / "swap_ctl")
     run_validation(d, ctl, ValidationConfig())
     assert _vio_set(read_violations(out)) == _vio_set(read_violations(ctl))
